@@ -2,7 +2,7 @@
 
 Module map:
     spectra      band registry, FDI/PI/NDVI/kNDVI, feature-set definitions
-    raster       grids, the bsqf/1 container, stretching, index rasters
+    raster       grids, the bsqf/1 container, stretching, index rasters, feature kernel
     dataset      labelled sample tables, test cases, splits, profiles
     classifiers  from-scratch random forest and SMO-trained RBF SVM, tuning
     metrics      confusion-matrix suite with explicit NA semantics

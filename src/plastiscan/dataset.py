@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     BadLabelError,
     ClassTooSmallError,
+    DegenerateDenominatorError,
     DuplicateKeyError,
     EmptyInputError,
     InsufficientWaterPoolError,
@@ -34,6 +35,7 @@ from .errors import (
     NonNumericReflectanceError,
     SchemaMismatchError,
 )
+from .raster import feature_columns
 from .rng import seeded_rng
 from .spectra import (
     BAND_ORDER,
@@ -42,7 +44,6 @@ from .spectra import (
     PLASTIC,
     PixelSpectrum,
     WATER,
-    feature_vector,
 )
 
 __all__ = [
@@ -377,12 +378,14 @@ def feature_matrix(table: SampleTable, spec: FeatureSetSpec) -> tuple[np.ndarray
     """(X, y): float64 feature matrix in spec order and int label vector."""
     if len(table) == 0:
         raise EmptyInputError("cannot build features from an empty table")
-    X = np.empty((len(table), spec.n_features), dtype=np.float64)
-    y = np.empty(len(table), dtype=np.int64)
-    for i, sample in enumerate(table.rows):
-        X[i, :] = feature_vector(sample.spectrum, spec).values
-        y[i] = sample.label
-    return X, y
+    arrays = {b: np.array([s.spectrum.band(b) for s in table.rows]) for b in spec.source_bands}
+    X = feature_columns(arrays, spec)
+    if np.isnan(X).any():
+        row, col = np.argwhere(np.isnan(X))[0]
+        raise DegenerateDenominatorError(
+            f"sample {table.rows[row].key()}: {spec.members[col]} denominator is degenerate"
+        )
+    return X, np.array([s.label for s in table.rows], dtype=np.int64)
 
 
 # --- spectral profiles -----------------------------------------------------

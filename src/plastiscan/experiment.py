@@ -32,7 +32,7 @@ from .classifiers import (
     train_svm,
 )
 from .dataset import SampleTable, TestCaseSpec, build_test_case, feature_matrix, split
-from .errors import MissingBandError, PlastiscanError
+from .errors import PlastiscanError
 from .metrics import (
     METRIC_KEYS,
     ConfusionMatrix,
@@ -42,9 +42,9 @@ from .metrics import (
     format_value,
     metrics_rows,
 )
-from .raster import BandStack, INDEX_SOURCES, LabelGrid, index_arrays
+from .raster import BandStack, LabelGrid, feature_columns
 from .rng import derive_seed
-from .spectra import BAND_REGISTRY, MODEL_SPECS
+from .spectra import MODEL_SPECS
 from .dataset import TEST_CASES
 
 __all__ = [
@@ -252,27 +252,8 @@ def classify_scene(stack: BandStack, model: RFModel | SVMModel) -> LabelGrid:
     Pixels with any missing band value or a degenerate index denominator get
     the nodata label 0.
     """
-    spec = model.spec
-    needed: list[str] = []
-    for member in spec.members:
-        sources = (member,) if member in BAND_REGISTRY else INDEX_SOURCES[member]
-        for band_id in sources:
-            if band_id not in needed:
-                needed.append(band_id)
-    missing = [band_id for band_id in needed if band_id not in stack.grids]
-    if missing:
-        raise MissingBandError(
-            f"{spec.spec_id} needs band(s) {', '.join(missing)} absent from the stack"
-        )
     height, width = stack.height, stack.width
-    arrays = {band_id: stack.grids[band_id].values for band_id in needed}
-    columns = []
-    for member in spec.members:
-        if member in BAND_REGISTRY:
-            columns.append(arrays[member].reshape(-1))
-        else:
-            columns.append(index_arrays(arrays, member).reshape(-1))
-    X = np.stack(columns, axis=1)
+    X = feature_columns({b: g.values.reshape(-1) for b, g in stack.grids.items()}, model.spec)
     valid = np.all(np.isfinite(X), axis=1)
     labels = np.zeros(height * width, dtype=np.uint8)
     if valid.any():

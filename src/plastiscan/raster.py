@@ -1,4 +1,4 @@
-"""Gridded data: band stacks, a simple raster container, and raster ops.
+"""Gridded data: band stacks, the bsqf/1 container, raster ops, the feature kernel.
 
 Container layout ("bsqf/1"): a JSON header ``<name>.json`` plus a sibling
 payload ``<name>.raw`` holding float32 little-endian samples, band-sequential
@@ -32,7 +32,9 @@ from .spectra import (
     BAND_REGISTRY,
     EPS_DENOM,
     FDI_INTERPOLATION_FACTOR,
+    FeatureSetSpec,
     INDEX_IDS,
+    INDEX_SOURCES,
     PLASTIC,
     WATER,
 )
@@ -50,19 +52,12 @@ __all__ = [
     "histogram_stretch",
     "compute_index_raster",
     "index_arrays",
+    "feature_columns",
     "write_label_map",
     "read_label_map",
 ]
 
 FORMAT_TAG = "bsqf/1"
-
-# Source bands needed by each index raster.
-INDEX_SOURCES: Mapping[str, tuple[str, ...]] = {
-    "FDI": ("B6", "B8", "B11"),
-    "PI": ("B4", "B8"),
-    "NDVI": ("B4", "B8"),
-    "KNDVI": ("B4", "B8"),
-}
 
 
 class DegenerateStretchWarning(UserWarning):
@@ -433,16 +428,23 @@ def index_arrays(arrays: Mapping[str, np.ndarray], index_id: str) -> np.ndarray:
         return out
 
 
+def feature_columns(arrays: Mapping[str, np.ndarray], spec: FeatureSetSpec) -> np.ndarray:
+    """(n, k) features for ``spec`` from length-n float64 band arrays.
+
+    The one feature assembly for samples and pixels; rows equal
+    :func:`plastiscan.spectra.feature_vector` bit for bit, except that a
+    degenerate index cell is NaN.  One error names every absent source band.
+    """
+    missing = [band_id for band_id in spec.source_bands if band_id not in arrays]
+    if missing:
+        raise MissingBandError(f"{spec.spec_id}: missing source band(s) {', '.join(missing)}")
+    columns = [arrays[m] if m in BAND_REGISTRY else index_arrays(arrays, m) for m in spec.members]
+    return np.stack(columns, axis=1)
+
+
 def compute_index_raster(stack: BandStack, index_id: str) -> Grid:
     """Index grid from a stack; nodata and degenerate cells come out nodata."""
-    if index_id not in INDEX_IDS:
-        raise UnknownBandError(
-            f"unknown index {index_id!r}; expected one of {', '.join(INDEX_IDS)}"
-        )
-    for band_id in INDEX_SOURCES[index_id]:
-        if band_id not in stack.grids:
-            raise MissingBandError(f"index {index_id} needs band {band_id}")
-    arrays = {bid: stack.grids[bid].values for bid in INDEX_SOURCES[index_id]}
+    arrays = {band_id: grid.values for band_id, grid in stack.grids.items()}
     return Grid(width=stack.width, height=stack.height, values=index_arrays(arrays, index_id))
 
 

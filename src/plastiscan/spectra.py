@@ -1,7 +1,7 @@
 """Band registry, spectral indices, and feature-set definitions.
 
-Scalar index math lives here; rasterised (per-pixel array) versions live in
-:mod:`plastiscan.raster` and must agree with these functions exactly.
+Scalar index math and :func:`feature_vector` here are the reference; samples and
+pixels get features from :func:`plastiscan.raster.feature_columns`, bit for bit.
 
 Index references:
     FDI   floating debris index (Biermann et al., 2020, Sci. Rep.)
@@ -104,6 +104,17 @@ BAND_ORDER: tuple[str, ...] = tuple(BAND_REGISTRY)
 
 # Index identifiers accepted wherever a single-band raster is produced.
 INDEX_IDS: tuple[str, ...] = ("FDI", "PI", "NDVI", "KNDVI")
+
+# Source bands each index draws on.
+INDEX_SOURCES: Mapping[str, tuple[str, ...]] = {
+    "FDI": ("B6", "B8", "B11"),
+    "PI": ("B4", "B8"),
+    "NDVI": ("B4", "B8"),
+    "KNDVI": ("B4", "B8"),
+}
+
+# Bands every index computation draws on.
+INDEX_SOURCE_BANDS = tuple(b for b in BAND_ORDER if any(b in s for s in INDEX_SOURCES.values()))
 
 # FDI baseline wavelengths.  The NIR anchor is the 833 nm value used in the
 # index definition, deliberately distinct from B8's 842 nm band centre.
@@ -255,6 +266,11 @@ class FeatureSetSpec:
     def n_features(self) -> int:
         return len(self.members)
 
+    @property
+    def source_bands(self) -> tuple[str, ...]:
+        """Bands the members are computed from, in first-use order."""
+        return tuple(dict.fromkeys(b for m in self.members for b in INDEX_SOURCES.get(m, (m,))))
+
 
 MODEL_SPECS: Mapping[str, FeatureSetSpec] = {
     "Model1": FeatureSetSpec("Model1", ("B6", "B8", "B11", "FDI", "PI", "NDVI")),
@@ -263,9 +279,6 @@ MODEL_SPECS: Mapping[str, FeatureSetSpec] = {
     "Model4": FeatureSetSpec("Model4", ("FDI", "PI", "NDVI")),
     "Model5": FeatureSetSpec("Model5", ("FDI", "PI", "KNDVI")),
 }
-
-# Bands every index computation draws on.
-INDEX_SOURCE_BANDS: tuple[str, ...] = ("B4", "B6", "B8", "B11")
 
 
 @dataclass(frozen=True)

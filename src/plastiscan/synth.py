@@ -26,7 +26,7 @@ from .errors import (
 from .dataset import FRACTION_CATEGORIES, Sample, SampleTable, _CATEGORY_EDGES
 from .raster import BandStack, Grid, LabelGrid
 from .rng import seeded_rng
-from .spectra import BAND_ORDER, BAND_REGISTRY, PLASTIC, WATER, PixelSpectrum
+from .spectra import BAND_ORDER, BAND_REGISTRY, INDEX_SOURCE_BANDS, PLASTIC, WATER, PixelSpectrum
 
 __all__ = [
     "Endmember",
@@ -71,7 +71,7 @@ class Endmember:
             raise MissingBandError(
                 f"endmember {self.name}: unknown band(s) {sorted(unknown)}"
             )
-        for band_id in ("B4", "B6", "B8", "B11"):
+        for band_id in INDEX_SOURCE_BANDS:
             if band_id not in clean:
                 raise MissingBandError(f"endmember {self.name}: missing band {band_id}")
         for band_id, value in clean.items():

@@ -35,22 +35,27 @@ def project(v: np.ndarray, y: np.ndarray, C: float) -> np.ndarray:
     """Euclidean projection of v onto {0 <= a <= C, y'a = 0}.
 
     The projection is clip(v - t*y, 0, C) where t solves y'a(t) = 0;
-    y'a(t) is nonincreasing in t, so bisection applies.
+    y'a(t) is nonincreasing in t, so bisection applies.  The clip is written
+    as minimum(maximum(.)): the same values at about half of np.clip's fixed
+    cost per call on these small arrays.
     """
 
     def h(t: float) -> float:
-        return float(y @ np.clip(v - t * y, 0.0, C))
+        return float(y @ np.minimum(np.maximum(v - t * y, 0.0), C))
 
     span = float(np.abs(v).max(initial=0.0) + C + 1.0)
     lo, hi = -span, span
     assert h(lo) >= 0.0 >= h(hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        settled = mid == lo or mid == hi
         if h(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    return np.clip(v - 0.5 * (lo + hi) * y, 0.0, C)
+        if settled:
+            break  # (lo, hi) is now a fixed point: further steps change nothing
+    return np.minimum(np.maximum(v - 0.5 * (lo + hi) * y, 0.0), C)
 
 
 def _kkt_verified(

@@ -28,15 +28,17 @@ from plastiscan.dataset import (
 from plastiscan.errors import (
     BadLabelError,
     ClassTooSmallError,
+    DegenerateDenominatorError,
     DuplicateKeyError,
     EmptyInputError,
     InsufficientWaterPoolError,
     InvalidSampleError,
+    MissingBandError,
     MissingFractionError,
     NonNumericReflectanceError,
     SchemaMismatchError,
 )
-from plastiscan.spectra import PixelSpectrum
+from plastiscan.spectra import MODEL_SPECS, PixelSpectrum, feature_vector
 
 from conftest import band_spec
 
@@ -401,6 +403,28 @@ class TestFeatureMatrix:
     def test_empty_table(self):
         with pytest.raises(EmptyInputError):
             feature_matrix(SampleTable(()), band_spec(2))
+
+    @pytest.mark.parametrize("model_id", sorted(MODEL_SPECS))
+    def test_rows_bit_identical_to_feature_vector(self, default_pool, model_id):
+        spec = MODEL_SPECS[model_id]
+        X, y = feature_matrix(default_pool, spec)
+        rows = [feature_vector(s.spectrum, spec).values for s in default_pool.rows]
+        assert X.dtype == np.float64
+        assert np.array_equal(X, np.array(rows, dtype=np.float64))
+        assert y.tolist() == [s.label for s in default_pool.rows]
+
+    def test_degenerate_denominator_raises(self):
+        table = SampleTable((make_sample(row=0), make_sample(row=1, B4=-0.05, B8=0.05)))
+        with pytest.raises(DegenerateDenominatorError):
+            feature_matrix(table, MODEL_SPECS["Model4"])
+
+    def test_missing_band_named(self):
+        sample = Sample(
+            site="s", date="2019-04-24", row=0, col=0, label=WATER,
+            spectrum=PixelSpectrum({"B4": 0.1, "B8": 0.22, "B11": 0.05}),
+        )
+        with pytest.raises(MissingBandError, match="B6"):
+            feature_matrix(SampleTable((sample,)), MODEL_SPECS["Model1"])
 
 
 class TestFractionCategory:

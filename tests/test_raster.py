@@ -23,6 +23,7 @@ from plastiscan.raster import (
     MaskGrid,
     apply_mask,
     compute_index_raster,
+    feature_columns,
     histogram_stretch,
     index_arrays,
     read_label_map,
@@ -31,7 +32,7 @@ from plastiscan.raster import (
     write_label_map,
     write_stack,
 )
-from plastiscan.spectra import fdi, kndvi, ndvi, pi
+from plastiscan.spectra import MODEL_SPECS, fdi, kndvi, ndvi, pi
 
 
 def grid_of(rows) -> Grid:
@@ -527,6 +528,19 @@ class TestIndexRasters:
             compute_index_raster(stack, "FDI")
         with pytest.raises(MissingBandError, match="B8"):
             index_arrays({"B4": np.zeros((1, 1))}, "NDVI")
+
+    def test_feature_columns_copies_bands_and_marks_degenerate_cells(self):
+        arrays = {"B4": np.array([0.1, -0.2]), "B6": np.array([0.05, 0.05]),
+                  "B8": np.array([0.3, 0.2]), "B11": np.array([0.02, 0.02])}
+        X = feature_columns(arrays, MODEL_SPECS["Model1"])
+        assert X.shape == (2, 6) and X.dtype == np.float64
+        assert X[0].tolist() == [0.05, 0.3, 0.02, fdi(0.05, 0.3, 0.02),
+                                 pi(0.1, 0.3), ndvi(0.1, 0.3)]
+        assert np.isfinite(X[1, :4]).all() and np.isnan(X[1, 4:]).all()
+
+    def test_feature_columns_names_every_absent_band(self):
+        with pytest.raises(MissingBandError, match="B6, B8, B11"):
+            feature_columns({"B4": np.zeros(1)}, MODEL_SPECS["Model1"])
 
     def test_mask_and_index_commute(self):
         rng = np.random.default_rng(7)
