@@ -8,10 +8,11 @@ with ``sigma`` used directly as the exponential gain; the textbook
 decision function is ``f(x) = sum_i dual_coef_i k(sv_i, x) + bias`` and a
 pixel is plastic when ``f(x) >= 0``.
 
-The solver follows Platt's SMO: pairwise coordinate ascent on the dual with
-KKT screening, a second-choice heuristic maximising |E1 - E2|, and seeded
-scan offsets so training is deterministic.  The bias is recomputed at the end
-as the mean over free support vectors (0 < alpha < C).
+The solver is SMO with LIBSVM's second-order working-set selection (WSS2;
+Fan, Chen & Lin, JMLR 2005): each iteration updates the maximal violating row
+and the partner with the largest second-order gain, so training draws no
+randomness and is deterministic by construction.  The bias is recomputed at
+the end as the mean over free support vectors (0 < alpha < C).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from ..errors import (
     SingleClassError,
     SpecMismatchError,
 )
-from ..rng import seeded_rng
 from ..spectra import FeatureSetSpec, FeatureVector, PLASTIC, WATER
 
 __all__ = [
@@ -55,9 +55,9 @@ class SVMHyperParams:
 
     C: float = 10.0
     sigma: float = 0.09  # RBF exponential gain
-    tolerance: float = 1e-3  # KKT violation tolerance
-    max_passes: int = 1000  # bound on optimisation passes
-    seed: int = 0
+    tolerance: float = 1e-3  # bound on the maximal violating pair's KKT gap
+    max_passes: int = 1000  # caps the solver at max_passes * n iterations
+    seed: int = 0  # kept for saved models and callers; the solver does not read it
 
     def __post_init__(self) -> None:
         if self.C <= 0:
@@ -121,116 +121,44 @@ class SVMModel:
         return len(self.dual_coefs)
 
 
-class _SMO:
-    """Platt-style SMO over a precomputed kernel matrix."""
+def _solve(K: np.ndarray, y: np.ndarray, hp: SVMHyperParams) -> np.ndarray:
+    """Dual coefficients by SMO with second-order working-set selection.
 
-    def __init__(self, K: np.ndarray, y: np.ndarray, hp: SVMHyperParams):
-        self.K = K
-        self.y = y.astype(np.float64)
-        self.C = float(hp.C)
-        self.tol = float(hp.tolerance)
-        self.max_passes = hp.max_passes
-        self.rng = seeded_rng(hp.seed, "smo")
-        self.n = len(y)
-        self.alpha = np.zeros(self.n)
-        self.b = 0.0
-        self.f = np.zeros(self.n)  # current decision values on training rows
-
-    def _refresh(self) -> None:
-        self.f = self.K @ (self.alpha * self.y) + self.b
-
-    def _take_step(self, i1: int, i2: int) -> bool:
-        if i1 == i2:
-            return False
-        a1, a2 = self.alpha[i1], self.alpha[i2]
-        y1, y2 = self.y[i1], self.y[i2]
-        e1 = self.f[i1] - y1
-        e2 = self.f[i2] - y2
-        s = y1 * y2
-        if s > 0:
-            lo, hi = max(0.0, a1 + a2 - self.C), min(self.C, a1 + a2)
-        else:
-            lo, hi = max(0.0, a2 - a1), min(self.C, self.C + a2 - a1)
-        if hi - lo < _BOUND_EPS * self.C:
-            return False
-        eta = self.K[i1, i1] + self.K[i2, i2] - 2.0 * self.K[i1, i2]
-        if eta <= 1e-15:
-            # identical points in kernel space share E values: no progress.
-            return False
-        a2_new = a2 + y2 * (e1 - e2) / eta
-        a2_new = min(hi, max(lo, a2_new))
-        if a2_new < _BOUND_EPS * self.C:
-            a2_new = 0.0
-        elif a2_new > self.C * (1.0 - _BOUND_EPS):
-            a2_new = self.C
-        if abs(a2_new - a2) < 1e-14 * (a2_new + a2 + 1e-14):
-            return False
-        a1_new = a1 + s * (a2 - a2_new)
-        if a1_new < _BOUND_EPS * self.C:
-            a1_new = 0.0
-        elif a1_new > self.C * (1.0 - _BOUND_EPS):
-            a1_new = self.C
-        d1 = y1 * (a1_new - a1)
-        d2 = y2 * (a2_new - a2)
-        b1 = self.b - e1 - d1 * self.K[i1, i1] - d2 * self.K[i1, i2]
-        b2 = self.b - e2 - d1 * self.K[i1, i2] - d2 * self.K[i2, i2]
-        if 0.0 < a1_new < self.C:
-            b_new = b1
-        elif 0.0 < a2_new < self.C:
-            b_new = b2
-        else:
-            b_new = (b1 + b2) / 2.0
-        self.f += d1 * self.K[:, i1] + d2 * self.K[:, i2] + (b_new - self.b)
-        self.alpha[i1] = a1_new
-        self.alpha[i2] = a2_new
-        self.b = b_new
-        return True
-
-    def _examine(self, i2: int) -> bool:
-        y2 = self.y[i2]
-        a2 = self.alpha[i2]
-        r2 = (self.f[i2] - y2) * y2
-        if not ((r2 < -self.tol and a2 < self.C) or (r2 > self.tol and a2 > 0.0)):
-            return False
-        free = np.nonzero((self.alpha > 0.0) & (self.alpha < self.C))[0]
-        if free.size > 1:
-            e2 = self.f[i2] - y2
-            errs = np.abs((self.f[free] - self.y[free]) - e2)
-            if self._take_step(int(free[np.argmax(errs)]), i2):
-                return True
-        if free.size:
-            start = int(self.rng.integers(free.size))
-            for k in range(free.size):
-                if self._take_step(int(free[(start + k) % free.size]), i2):
-                    return True
-        start = int(self.rng.integers(self.n))
-        for k in range(self.n):
-            if self._take_step((start + k) % self.n, i2):
-                return True
-        return False
-
-    def solve(self) -> tuple[np.ndarray, float]:
-        examine_all = True
-        num_changed = 1
-        passes = 0
-        while num_changed > 0 or examine_all:
-            if passes >= self.max_passes:
-                raise ConvergenceError(
-                    f"SMO did not satisfy KKT (tolerance {self.tol}) within "
-                    f"{self.max_passes} passes"
-                )
-            if examine_all:
-                self._refresh()
-                targets = range(self.n)
-            else:
-                targets = np.nonzero((self.alpha > 0.0) & (self.alpha < self.C))[0]
-            num_changed = sum(self._examine(int(i)) for i in targets)
-            passes += 1
-            if examine_all:
-                examine_all = False
-            elif num_changed == 0:
-                examine_all = True
-        return self.alpha, self.b
+    Minimises ``a'Qa / 2 - sum(a)`` over ``0 <= a <= C``, ``y'a = 0`` with
+    ``Q = yy' * K`` (LIBSVM's WSS2; Fan, Chen & Lin, JMLR 2005).  ``F`` holds
+    ``-y * grad``.  Each iteration takes the maximal violator ``i`` in I_up,
+    pairs it with the ``j`` in I_low of largest second-order gain, and moves
+    ``alpha_i`` by ``+y_i t`` and ``alpha_j`` by ``-y_j t``.  It stops when the
+    pair gap ``max F[I_up] - min F[I_low]`` is below ``hp.tolerance``.
+    """
+    C, n = float(hp.C), len(y)
+    limit = hp.max_passes * n
+    pos = y > 0
+    diag = np.diag(K)
+    alpha = np.zeros(n)
+    F = y.copy()  # grad = -1 at alpha = 0
+    for it in range(limit + 1):
+        up = np.where(pos, alpha < C, alpha > 0.0)
+        low = np.where(pos, alpha > 0.0, alpha < C)
+        i = int(np.argmax(np.where(up, F, -np.inf)))
+        gap = F[i] - F[low].min()
+        if gap < hp.tolerance:
+            return alpha
+        if it == limit:
+            break
+        b = F[i] - F
+        a = np.maximum(diag[i] + diag - 2.0 * K[i], 1e-12)
+        j = int(np.argmin(np.where(low & (b > 0.0), -b * b / a, np.inf)))
+        room_i = C - alpha[i] if pos[i] else alpha[i]
+        room_j = alpha[j] if pos[j] else C - alpha[j]
+        t = min(b[j] / a[j], room_i, room_j)
+        alpha[i] = (C if pos[i] else 0.0) if t == room_i else alpha[i] + y[i] * t
+        alpha[j] = (0.0 if pos[j] else C) if t == room_j else alpha[j] - y[j] * t
+        F -= t * (K[i] - K[j])  # K is exactly symmetric: row == column
+    raise ConvergenceError(
+        f"SMO stopped after {limit} iterations (max_passes {hp.max_passes} "
+        f"x n {n}) with KKT gap {gap:.3g} >= tolerance {hp.tolerance:g}"
+    )
 
 
 def _final_bias(K: np.ndarray, y: np.ndarray, alpha: np.ndarray, C: float) -> float:
@@ -256,10 +184,10 @@ def _final_bias(K: np.ndarray, y: np.ndarray, alpha: np.ndarray, C: float) -> fl
 def train_svm(table: SampleTable, spec: FeatureSetSpec, hp: SVMHyperParams) -> SVMModel:
     """Fit an RBF SVM on ``table`` under ``spec``.
 
-    Rows are canonically sorted before the seeded solver runs, so training is
+    Rows are canonically sorted before the solver runs, so training is
     invariant to input row order.  Raises
-    :class:`~plastiscan.errors.ConvergenceError` if SMO exhausts
-    ``hp.max_passes``.
+    :class:`~plastiscan.errors.ConvergenceError` if the solver exhausts
+    ``hp.max_passes * n`` iterations.
     """
     table = table.canonical()
     if len(table) < 2:
@@ -285,7 +213,7 @@ def train_svm(table: SampleTable, spec: FeatureSetSpec, hp: SVMHyperParams) -> S
 
     K = _rbf_matrix(Xs, Xs, hp.sigma)
     K = (K + K.T) / 2.0  # exact symmetry for the solver
-    alpha, _ = _SMO(K, y, hp).solve()
+    alpha = _solve(K, y, hp)
     bias = _final_bias(K, y, alpha, hp.C)
 
     support = alpha > _BOUND_EPS * hp.C

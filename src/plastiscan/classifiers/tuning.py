@@ -128,17 +128,15 @@ def grid_search(
         base = svm_base if svm_base is not None else SVMHyperParams()
         for C in grid.c_grid:
             for sigma in grid.sigma_grid:
-                def fit(sub, fold, _C=C, _sigma=sigma):
-                    hp = replace(
-                        base, C=_C, sigma=_sigma,
-                        seed=derive_seed(seed, "cv-fit", repr(_C), repr(_sigma), fold),
-                    )
-                    return train_svm(sub, spec, hp)
+                hp = replace(base, C=C, sigma=sigma)
+
+                def fit(sub, fold, _hp=hp):  # the SVM solver draws no randomness
+                    return train_svm(sub, spec, _hp)
 
                 accs = _cv_accuracy(folds, spec, fit, predict_svm_batch)
                 mean = float(np.mean(accs))
                 entries.append(CVEntry({"C": C, "sigma": sigma}, accs, mean))
-                candidates.append(((-mean, C, sigma), replace(base, C=C, sigma=sigma)))
+                candidates.append(((-mean, C, sigma), hp))
     else:
         raise ValueError(f"algo must be 'svm' or 'rf', got {algo!r}")
 

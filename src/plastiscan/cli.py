@@ -22,7 +22,6 @@ from .classifiers import (
     DEFAULT_SIGMA_GRID,
     GridSpec,
     RFHyperParams,
-    RFModel,
     SVMHyperParams,
     grid_search,
     load_model,

@@ -18,7 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -378,7 +378,13 @@ def feature_matrix(table: SampleTable, spec: FeatureSetSpec) -> tuple[np.ndarray
     """(X, y): float64 feature matrix in spec order and int label vector."""
     if len(table) == 0:
         raise EmptyInputError("cannot build features from an empty table")
-    arrays = {b: np.array([s.spectrum.band(b) for s in table.rows]) for b in spec.source_bands}
+    arrays = {}
+    for b in spec.source_bands:
+        try:
+            arrays[b] = np.array([s.spectrum.band(b) for s in table.rows])
+        except MissingBandError:
+            s = next(s for s in table.rows if b not in s.spectrum)
+            raise MissingBandError(f"sample {s.key()}: spectrum has no band {b}") from None
     X = feature_columns(arrays, spec)
     if np.isnan(X).any():
         row, col = np.argwhere(np.isnan(X))[0]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Literal, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import csv
 import numpy as np
@@ -40,7 +40,6 @@ from .metrics import (
     confusion,
     evaluate,
     format_value,
-    metrics_rows,
 )
 from .raster import BandStack, LabelGrid, feature_columns
 from .rng import derive_seed

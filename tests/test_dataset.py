@@ -423,7 +423,7 @@ class TestFeatureMatrix:
             site="s", date="2019-04-24", row=0, col=0, label=WATER,
             spectrum=PixelSpectrum({"B4": 0.1, "B8": 0.22, "B11": 0.05}),
         )
-        with pytest.raises(MissingBandError, match="B6"):
+        with pytest.raises(MissingBandError, match=r"sample \('s', '2019-04-24', 0, 0\): .*B6"):
             feature_matrix(SampleTable((sample,)), MODEL_SPECS["Model1"])
 
 

@@ -95,6 +95,14 @@ class TestRunCell:
         assert set(svm.tuned) == {"C", "sigma"}
         assert svm.tuned == {"C": 10.0, "sigma": 0.09}
 
+    def test_svm_cell_converges_at_default_passes(self):
+        pool = gen_dataset(SynthConfig(n_plastic=54, n_water=270, seed=7))
+        grid = GridSpec(mtry_grid=(1, 2), sigma_grid=(0.03, 0.09), c_grid=(2.0, 10.0),
+                        cv_folds=2)
+        cell = run_cell(pool.only(PLASTIC), pool.only(WATER), "Model5", "TC4", "svm",
+                        grid, master_seed=7)
+        assert cell.error is None
+
     def test_data_error_recorded_not_raised(self, pools):
         plastic, _ = pools
         tiny_water = gen_dataset(SynthConfig(n_plastic=2, n_water=20, seed=1)).only(WATER)

@@ -1,4 +1,4 @@
-"""RBF SVM: kernel algebra, SMO training, and the brute-force QP oracle."""
+"""RBF SVM: kernel algebra, WSS2 SMO training, and the brute-force QP oracle."""
 
 from __future__ import annotations
 
@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 from plastiscan import (
+    MODEL_SPECS,
     PLASTIC,
     SVMHyperParams,
+    SynthConfig,
     WATER,
+    gen_dataset,
     predict_svm,
     predict_svm_batch,
     train_svm,
@@ -214,7 +217,10 @@ class TestTraining:
     def test_convergence_error_when_passes_exhausted(self):
         X, y = random_problem(8, n=16)
         hp = SVMHyperParams(C=10.0, sigma=0.09, tolerance=1e-12, max_passes=1)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(
+            ConvergenceError,
+            match=r"after 16 iterations \(max_passes 1 x n 16\) with KKT gap \S+ >= tolerance 1e-12",
+        ):
             train_svm(table_from_features(X, y), band_spec(3), hp)
 
     def test_deterministic(self):
@@ -224,6 +230,14 @@ class TestTraining:
         b = train_svm(table_from_features(X, y), spec, hp_tight())
         assert a.bias == b.bias
         np.testing.assert_array_equal(a.support_vectors, b.support_vectors)
+        np.testing.assert_array_equal(a.dual_coefs, b.dual_coefs)
+
+    def test_seed_does_not_change_fit(self):
+        pool = gen_dataset(SynthConfig(n_plastic=54, n_water=270, seed=0))
+        spec = MODEL_SPECS["Model2"]
+        a = train_svm(pool, spec, SVMHyperParams(seed=0))
+        b = train_svm(pool, spec, SVMHyperParams(seed=1))
+        assert a.bias == b.bias
         np.testing.assert_array_equal(a.dual_coefs, b.dual_coefs)
 
     def test_row_order_does_not_matter(self):
