@@ -6,6 +6,8 @@ are the midpoints between adjacent distinct sorted values.  Ties in impurity
 decrease resolve toward the lower feature index, then the lower threshold,
 so training is fully deterministic given the seed.  Out-of-bag votes give the
 error curve and fuel permutation importances (mean decrease in OOB accuracy).
+Trees of up to 12 splits predict through a lookup table of leaf classes
+built once per tree (see ``_Tree``); deeper trees walk level by level.
 """
 
 from __future__ import annotations
@@ -85,10 +87,24 @@ class RFHyperParams:
         )
 
 
-class _Tree:
-    """Flat-array decision tree; feature == -1 marks a leaf."""
+# Trees with at most this many split nodes predict through a lookup table of
+# 2**m entries; deeper ones, which only unbounded growth produces, walk.
+_TABLE_MAX_SPLITS = 12
 
-    __slots__ = ("feature", "threshold", "left", "right", "counts", "leaf_class", "in_bag")
+
+class _Tree:
+    """Flat-array decision tree; feature == -1 marks a leaf.
+
+    A tree with m <= _TABLE_MAX_SPLITS split nodes is also compiled, once, to
+    a lookup table in the manner of QuickScorer (Lucchese et al., SIGIR 2015):
+    a row's m split outcomes, read as an m-bit code, index the class of the
+    leaf it reaches.
+    """
+
+    __slots__ = (
+        "feature", "threshold", "left", "right", "counts", "leaf_class", "in_bag",
+        "_splits", "_table",
+    )
 
     def __init__(self, feature, threshold, left, right, counts, in_bag):
         self.feature = np.asarray(feature, dtype=np.int64)
@@ -101,12 +117,55 @@ class _Tree:
             self.counts[:, 0] >= self.counts[:, 1], PLASTIC, WATER
         ).astype(np.int64)
         self.in_bag = None if in_bag is None else np.asarray(in_bag, dtype=np.int64)
+        self._splits, self._table = self._compile()
 
     @property
     def n_leaves(self) -> int:
         return int((self.feature < 0).sum())
 
+    def _compile(self):
+        """``(splits, table)``, or ``(None, None)`` past the size limit.
+
+        Split node k (in node order) gives bit k of the code, counted from
+        the most significant of m: set when the row goes right.  A leaf
+        fixes the bits on its path and leaves the others free, so the leaves
+        fill all 2**m codes between them, with no walk per code.
+        """
+        feature = self.feature.tolist()
+        internal = [node for node, f in enumerate(feature) if f >= 0]
+        m = len(internal)
+        if m > _TABLE_MAX_SPLITS:
+            return None, None
+        bit = {node: k for k, node in enumerate(internal)}
+        left, right = self.left.tolist(), self.right.tolist()
+        leaf_class = self.leaf_class.tolist()
+        table = np.empty((2,) * m, dtype=self.leaf_class.dtype)  # axis k = bit k
+        stack = [(0, (slice(None),) * m)]
+        while stack:
+            node, codes = stack.pop()
+            if feature[node] < 0:
+                table[codes] = leaf_class[node]
+                continue
+            k = bit[node]
+            stack.append((left[node], codes[:k] + (0,) + codes[k + 1:]))
+            stack.append((right[node], codes[:k] + (1,) + codes[k + 1:]))
+        splits = [(feature[node], self.threshold[node]) for node in internal]
+        return splits, table.reshape(-1)
+
     def predict(self, X: np.ndarray) -> np.ndarray:
+        """Leaf class of each row of ``X`` (n, n_features).
+
+        Each split reads one column, so a Fortran-ordered ``X`` is fastest.
+        """
+        if self._table is None:
+            return self._walk(X)
+        code = np.zeros(len(X), dtype=np.uint16)  # holds _TABLE_MAX_SPLITS bits
+        for f, t in self._splits:
+            code <<= 1
+            code |= ~(X[:, f] <= t)  # not X > t: NaN goes right, as in the walk
+        return self._table[code]
+
+    def _walk(self, X: np.ndarray) -> np.ndarray:
         cur = np.zeros(len(X), dtype=np.int64)
         while True:
             feats = self.feature[cur]
@@ -318,12 +377,10 @@ def train_rf(table: SampleTable, spec: FeatureSetSpec, hp: RFHyperParams) -> RFM
         in_bag = rng.integers(0, n, size=n)
         trees.append(_grow_tree(X, is_plastic, hp, rng, in_bag))
 
+    oob = _oob_rows(trees, n)
     votes = np.zeros((n, 2), dtype=np.int64)
     curve = np.empty(hp.n_trees, dtype=np.float64)
-    for t, tree in enumerate(trees):
-        oob_mask = np.ones(n, dtype=bool)
-        oob_mask[tree.in_bag] = False
-        oob_rows = np.nonzero(oob_mask)[0]
+    for t, (tree, oob_rows) in enumerate(zip(trees, oob)):
         if oob_rows.size:
             preds = tree.predict(X[oob_rows])
             votes[oob_rows[preds == PLASTIC], 0] += 1
@@ -338,7 +395,7 @@ def train_rf(table: SampleTable, spec: FeatureSetSpec, hp: RFHyperParams) -> RFM
     if math.isnan(oob_error):
         warnings.warn("no sample was ever out of bag; OOB error undefined", stacklevel=2)
 
-    importances = _permutation_importance(trees, X, y, hp.seed, spec.n_features)
+    importances = _permutation_importance(trees, oob, X, y, hp.seed, spec.n_features)
     return RFModel(
         spec=spec,
         hyperparams=hp,
@@ -350,15 +407,24 @@ def train_rf(table: SampleTable, spec: FeatureSetSpec, hp: RFHyperParams) -> RFM
     )
 
 
-def _permutation_importance(trees, X, y, seed: int, n_features: int) -> np.ndarray:
-    """Mean decrease in per-tree OOB accuracy when one feature is shuffled."""
-    n = len(y)
+def _oob_rows(trees, n: int) -> list[np.ndarray]:
+    """Per tree, the indices of the n training rows its bootstrap never drew."""
+    oob = []
+    for tree in trees:
+        mask = np.ones(n, dtype=bool)
+        mask[tree.in_bag] = False
+        oob.append(np.nonzero(mask)[0])
+    return oob
+
+
+def _permutation_importance(trees, oob, X, y, seed: int, n_features: int) -> np.ndarray:
+    """Mean decrease in per-tree OOB accuracy when one feature is shuffled.
+
+    ``oob`` holds each tree's out-of-bag rows, as :func:`_oob_rows` gives.
+    """
     totals = np.zeros(n_features, dtype=np.float64)
     used = 0
-    for t, tree in enumerate(trees):
-        oob_mask = np.ones(n, dtype=bool)
-        oob_mask[tree.in_bag] = False
-        oob_rows = np.nonzero(oob_mask)[0]
+    for t, (tree, oob_rows) in enumerate(zip(trees, oob)):
         if oob_rows.size == 0:
             continue
         used += 1
@@ -391,7 +457,8 @@ def rf_permutation_importance(model: RFModel, table: SampleTable) -> np.ndarray:
         )
     X, y = feature_matrix(table, model.spec)
     return _permutation_importance(
-        model.trees, X, y, model.hyperparams.seed, model.spec.n_features
+        model.trees, _oob_rows(model.trees, len(y)), X, y,
+        model.hyperparams.seed, model.spec.n_features,
     )
 
 
@@ -405,6 +472,7 @@ def predict_rf_batch(model: RFModel, X: np.ndarray) -> np.ndarray:
         )
     if len(X) == 0:
         raise EmptyInputError("no rows to predict")
+    X = np.asfortranarray(X)  # one copy; every split of every tree reads a column
     plastic_votes = np.zeros(len(X), dtype=np.int64)
     for tree in model.trees:
         plastic_votes += tree.predict(X) == PLASTIC

@@ -9,6 +9,8 @@ freshly trained model.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -22,6 +24,20 @@ from .svm import Scaler, SVMHyperParams, SVMModel
 __all__ = ["SCHEMA_VERSION", "save_model", "load_model"]
 
 SCHEMA_VERSION = 1
+
+
+def _is_number(value) -> bool:
+    """A JSON number that converts to float64 (NaN and infinities included)."""
+    if isinstance(value, float):
+        return True
+    return type(value) is int and abs(value) <= sys.float_info.max
+
+
+def _numbers(doc, key: str) -> np.ndarray:
+    values = doc.get(key, [])
+    if not isinstance(values, list) or not all(_is_number(v) for v in values):
+        raise CorruptModelError(f"{key} must be a list of numbers")
+    return np.asarray(values, dtype=np.float64)
 
 
 def _tree_to_json(tree: _Tree, node: int = 0):
@@ -54,7 +70,7 @@ class _TreeReader:
         if isinstance(node, list):
             if (
                 len(node) != 2
-                or not all(isinstance(c, int) and c >= 0 for c in node)
+                or not all(type(c) is int and c >= 0 for c in node)  # bools are not counts
                 or sum(node) == 0
             ):
                 raise CorruptModelError(f"leaf counts must be two non-negative ints, got {node!r}")
@@ -62,10 +78,13 @@ class _TreeReader:
             return idx
         if not isinstance(node, dict) or set(node) != {"f", "t", "l", "r"}:
             raise CorruptModelError(f"tree node must be a leaf pair or {{f,t,l,r}}, got {node!r}")
-        if not isinstance(node["f"], int) or node["f"] < 0:
-            raise CorruptModelError(f"split feature must be a non-negative int, got {node['f']!r}")
-        self.feature[idx] = node["f"]
-        self.threshold[idx] = float(node["t"])
+        f, t = node["f"], node["t"]
+        if type(f) is not int or f < 0:
+            raise CorruptModelError(f"split feature must be a non-negative int, got {f!r}")
+        if not _is_number(t) or not math.isfinite(t):
+            raise CorruptModelError(f"split threshold must be a finite number, got {t!r}")
+        self.feature[idx] = f
+        self.threshold[idx] = float(t)
         self.left[idx] = self.walk(node["l"])
         self.right[idx] = self.walk(node["r"])
         # internal counts are the children's sums (informational only)
@@ -86,8 +105,18 @@ def _spec_to_json(spec: FeatureSetSpec) -> dict:
 def _spec_from_json(doc) -> FeatureSetSpec:
     if not isinstance(doc, dict) or "spec_id" not in doc or "members" not in doc:
         raise CorruptModelError("feature_spec must carry spec_id and members")
-    known = MODEL_SPECS.get(doc["spec_id"])
-    spec = FeatureSetSpec(doc["spec_id"], tuple(doc["members"]))
+    spec_id, members = doc["spec_id"], doc["members"]
+    if not (
+        isinstance(spec_id, str)
+        and isinstance(members, list)
+        and all(isinstance(m, str) for m in members)
+    ):
+        raise CorruptModelError("feature_spec needs a string spec_id and a list of names")
+    known = MODEL_SPECS.get(spec_id)
+    try:
+        spec = FeatureSetSpec(spec_id, tuple(members))
+    except ValueError as exc:  # empty or repeated members
+        raise CorruptModelError(f"bad feature_spec: {exc}") from exc
     if known is not None and known.members != spec.members:
         raise CorruptModelError(
             f"feature_spec {spec.spec_id} members {spec.members} do not match "
@@ -152,6 +181,8 @@ def load_model(path: str | Path, expect_algo: str | None = None) -> RFModel | SV
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ModelSchemaError(f"model file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise CorruptModelError("model file nests too deeply to read") from exc
     algo = _check_version_and_algo(doc, expect_algo)
     spec = _spec_from_json(doc.get("feature_spec"))
     hp_doc = doc.get("hyperparams")
@@ -185,22 +216,28 @@ def load_model(path: str | Path, expect_algo: str | None = None) -> RFModel | SV
         trees = []
         for node in trees_doc:
             reader = _TreeReader()
-            reader.walk(node)
+            try:
+                reader.walk(node)
+            except RecursionError as exc:  # json.loads may nest deeper than this walk can
+                raise CorruptModelError("tree nests too deeply to read") from exc
             tree = reader.tree()
             if (tree.feature >= spec.n_features).any():
                 raise CorruptModelError("tree splits on a feature outside the spec")
             trees.append(tree)
-        curve = np.asarray(doc.get("oob_curve", []), dtype=np.float64)
+        curve = _numbers(doc, "oob_curve")
         if curve.size != len(trees):
             raise CorruptModelError("oob_curve length must equal the tree count")
-        importances = np.asarray(doc.get("importances", []), dtype=np.float64)
+        importances = _numbers(doc, "importances")
         if importances.size != spec.n_features:
             raise CorruptModelError("importances length must equal the feature count")
+        oob_error = doc.get("oob_error", float("nan"))
+        if not _is_number(oob_error):
+            raise CorruptModelError(f"oob_error must be a number, got {oob_error!r}")
         return RFModel(
             spec=spec,
             hyperparams=hp,
             trees=trees,
-            oob_error=float(doc.get("oob_error", float("nan"))),
+            oob_error=float(oob_error),
             oob_curve=curve,
             importances=importances,
             n_train=n_train,
@@ -218,23 +255,31 @@ def load_model(path: str | Path, expect_algo: str | None = None) -> RFModel | SV
         )
     if not isinstance(scaler_doc, dict):
         raise CorruptModelError("svm model needs a scaler object")
-    mean = np.asarray(scaler_doc.get("mean", []), dtype=np.float64)
-    sd = np.asarray(scaler_doc.get("sd", []), dtype=np.float64)
-    kept = np.asarray(scaler_doc.get("kept", []), dtype=bool)
+    mean = _numbers(scaler_doc, "mean")
+    sd = _numbers(scaler_doc, "sd")
+    kept = scaler_doc.get("kept", [])
+    if not isinstance(kept, list) or not all(isinstance(k, bool) for k in kept):
+        raise CorruptModelError("kept must be a list of booleans")
+    kept = np.asarray(kept, dtype=bool)
     if not (mean.size == sd.size == kept.size == spec.n_features):
         raise CorruptModelError("scaler arrays must match the feature count")
-    vectors = np.asarray(sv, dtype=np.float64)
-    if vectors.ndim != 2 or vectors.shape[1] != int(kept.sum()):
-        raise CorruptModelError("support vector width must match the kept feature count")
+    width = int(kept.sum())
+    if not all(
+        isinstance(row, list) and len(row) == width and all(_is_number(v) for v in row)
+        for row in sv
+    ):
+        raise CorruptModelError(
+            f"support vectors must be lists of {width} numbers (the kept feature width)"
+        )
     bias = doc.get("bias")
-    if not isinstance(bias, (int, float)) or isinstance(bias, bool):
+    if not _is_number(bias):
         raise CorruptModelError("bias must be a number")
     return SVMModel(
         spec=spec,
         hyperparams=hp,
         scaler=Scaler(mean=mean, sd=sd, kept=kept),
-        support_vectors=vectors,
-        dual_coefs=np.asarray(coefs, dtype=np.float64),
+        support_vectors=np.asarray(sv, dtype=np.float64),
+        dual_coefs=_numbers(doc, "dual_coefs"),
         bias=float(bias),
         n_train=n_train,
     )

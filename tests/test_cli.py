@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from plastiscan import load_model, read_stack, classify_scene
+from plastiscan import load_model, read_stack, classify_scene, save_model
 from plastiscan.cli import main
 from plastiscan.dataset import FRACTION_CATEGORIES, load_samples
 from plastiscan.metrics import METRIC_KEYS
@@ -117,6 +117,19 @@ class TestExitCodes:
                            "--out", str(tmp_path / "m.json"))
         assert code == 3
         assert "numeric failure" in err
+
+    def test_corrupt_model_is_data_error(self, capsys, rf_small, scene_files, tmp_path):
+        stack_path, _ = scene_files
+        model_path = tmp_path / "rf.json"
+        save_model(rf_small, model_path)
+        doc = json.loads(model_path.read_text())
+        doc["trees"][0] = {"f": 0, "t": None, "l": [1, 0], "r": [0, 1]}
+        model_path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "predict-scene", "--in", str(stack_path),
+                           "--model-file", str(model_path),
+                           "--out", str(tmp_path / "labels.pgm"))
+        assert code == 2
+        assert "split threshold" in err
 
     def test_bad_percentiles_are_usage_error(self, capsys, scene_files, tmp_path):
         stack_path, _ = scene_files

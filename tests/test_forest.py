@@ -49,6 +49,35 @@ def leaf_tree(counts) -> _Tree:
     )
 
 
+TREE_THRESHOLDS = (-1.0, 0.0, 0.25, 0.5, 1.0)
+
+
+def random_tree(m, n_features, seed) -> _Tree:
+    """A tree of m random splits on few features and thresholds, so that one
+    feature recurs with several thresholds; nodes other than the root (0)
+    are numbered in shuffled order."""
+    rng = np.random.default_rng(seed)
+    children = {}
+    leaves = [0]
+    for _ in range(m):
+        parent = leaves.pop(int(rng.integers(len(leaves))))
+        children[parent] = (2 * len(children) + 1, 2 * len(children) + 2)
+        leaves += children[parent]
+    n_nodes = 2 * m + 1
+    new_id = np.concatenate([[0], 1 + rng.permutation(n_nodes - 1)])
+    feature, threshold = [-1] * n_nodes, [0.0] * n_nodes
+    left, right = [-1] * n_nodes, [-1] * n_nodes
+    counts = [(0, 0)] * n_nodes
+    for old in range(n_nodes):
+        node = new_id[old]
+        counts[node] = tuple(int(c) for c in rng.integers(0, 4, size=2))
+        if old in children:
+            feature[node] = int(rng.integers(n_features))
+            threshold[node] = float(rng.choice(TREE_THRESHOLDS))
+            left[node], right[node] = (new_id[c] for c in children[old])
+    return _Tree(feature, threshold, left, right, counts, in_bag=None)
+
+
 def forest_of(trees, n_features=2) -> RFModel:
     spec = band_spec(n_features)
     return RFModel(
@@ -253,6 +282,31 @@ class TestPrediction:
         model = forest_of([leaf_tree((5, 0))])
         with pytest.raises(EmptyInputError):
             predict_rf_batch(model, np.zeros((0, 2)))
+
+
+class TestCompiledTree:
+    """A tree's lookup table must label every row as the level walk does."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("m", [0, 1, 5, 12, 13])
+    def test_table_matches_walk(self, m, seed):
+        tree = random_tree(m, n_features=2, seed=seed)
+        assert (tree._table is None) == (m > 12)  # 13 splits fall back to the walk
+        rng = np.random.default_rng(100 + seed)
+        values = np.concatenate(
+            [TREE_THRESHOLDS, [np.nan, np.inf, -np.inf], rng.uniform(-1.5, 1.5, 8)])
+        X = rng.choice(values, size=(500, 2))
+        expected = tree._walk(X)
+        for layout in (X, np.asfortranarray(X)):
+            got = tree.predict(layout)
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
+
+    def test_nan_goes_right_and_ties_go_left(self):
+        tree = _Tree(feature=[0, -1, -1], threshold=[0.5, 0.0, 0.0], left=[1, -1, -1],
+                     right=[2, -1, -1], counts=[(2, 2), (2, 0), (0, 2)], in_bag=None)
+        X = np.array([[np.nan], [0.5], [np.inf], [-np.inf]])
+        assert tree.predict(X).tolist() == [WATER, PLASTIC, WATER, PLASTIC]
 
 
 class TestImportances:

@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 
 from plastiscan import (
+    RFHyperParams,
     load_model,
     predict_rf_batch,
     predict_svm_batch,
     save_model,
+    train_rf,
 )
 from plastiscan.classifiers.io import SCHEMA_VERSION
 from plastiscan.classifiers.svm import decision_function
 from plastiscan.errors import CorruptModelError, ModelSchemaError
-from plastiscan.spectra import FeatureVector
+from plastiscan.spectra import MODEL_SPECS, FeatureVector
 
 
 def probe_matrix(model, n=1000, seed=0):
@@ -43,6 +45,27 @@ class TestRoundTrip:
         np.testing.assert_array_equal(
             predict_rf_batch(rf_small, X), predict_rf_batch(loaded, X)
         )
+
+    @pytest.mark.parametrize(
+        "hp, all_tables",
+        [
+            (RFHyperParams.final_profile(3, seed=0), True),
+            (RFHyperParams.matrix_profile(mtry=1, seed=0, n_trees=10), False),
+        ],
+        ids=["final_profile", "unbounded"],
+    )
+    def test_rf_table_and_walk_survive_round_trip(self, default_pool, tmp_path, hp, all_tables):
+        model = train_rf(default_pool, MODEL_SPECS["Model5"], hp)
+        tables = [tree._table is not None for tree in model.trees]
+        # final_profile trees all compile; the unbounded forest keeps at least
+        # one tree past 12 splits on the level walk
+        assert all(tables) == all_tables
+        path = tmp_path / "rf.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert [tree._table is not None for tree in loaded.trees] == tables
+        X = probe_matrix(model)
+        np.testing.assert_array_equal(predict_rf_batch(model, X), predict_rf_batch(loaded, X))
 
     def test_rf_metadata_preserved(self, rf_small, tmp_path):
         path = tmp_path / "rf.json"
@@ -167,7 +190,7 @@ class TestCorruptionErrors:
             load_model(path)
 
     @pytest.mark.parametrize(
-        "bad_leaf", [[1], [1, 2, 3], [-1, 2], [0, 0], [1.5, 2], "leaf"]
+        "bad_leaf", [[1], [1, 2, 3], [-1, 2], [0, 0], [1.5, 2], [True, 2], "leaf"]
     )
     def test_corrupt_leaf(self, rf_small, tmp_path, bad_leaf):
         def smash(d):
@@ -193,6 +216,42 @@ class TestCorruptionErrors:
         with pytest.raises(CorruptModelError, match="outside the spec"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "bad", [None, [1], "abc", float("inf"), float("nan"), True, 10**400]
+    )
+    def test_split_threshold_must_be_finite_number(self, rf_small, tmp_path, bad):
+        path = tampered(
+            tmp_path, rf_small,
+            lambda d: d["trees"].__setitem__(0, {"f": 0, "t": bad, "l": [1, 0], "r": [0, 1]}))
+        with pytest.raises(CorruptModelError, match="split threshold"):
+            load_model(path)
+
+    def test_boolean_split_feature(self, rf_small, tmp_path):
+        path = tampered(
+            tmp_path, rf_small,
+            lambda d: d["trees"].__setitem__(0, {"f": True, "t": 0.5, "l": [1, 0], "r": [0, 1]}))
+        with pytest.raises(CorruptModelError, match="split feature"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "key, bad", [("oob_curve", "0.1"), ("importances", None), ("oob_error", None)]
+    )
+    def test_non_numeric_oob_fields(self, rf_small, tmp_path, key, bad):
+        def smash(d):
+            d[key] = [bad] * len(d[key]) if isinstance(d[key], list) else bad
+
+        path = tampered(tmp_path, rf_small, smash)
+        with pytest.raises(CorruptModelError, match=key):
+            load_model(path)
+
+    def test_tree_nested_too_deeply(self, rf_small, tmp_path):
+        depth = 3000
+        deep = '{"f": 0, "t": 0.5, "l": ' * depth + "[1, 0]" + ', "r": [0, 1]}' * depth
+        path = tampered(tmp_path, rf_small, lambda d: d["trees"].__setitem__(0, "DEEP"))
+        path.write_text(path.read_text().replace('"DEEP"', deep))
+        with pytest.raises(CorruptModelError, match="nests too deeply"):
+            load_model(path)
+
     def test_oob_curve_length_mismatch(self, rf_small, tmp_path):
         path = tampered(tmp_path, rf_small,
                         lambda d: d.update(oob_curve=d["oob_curve"][:-1]))
@@ -210,6 +269,15 @@ class TestCorruptionErrors:
             tmp_path, rf_small,
             lambda d: d["feature_spec"].__setitem__("members", ["NDVI"]))
         with pytest.raises(CorruptModelError, match="registry"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "field, bad", [("members", 5), ("members", None), ("members", [["B6"]]),
+                       ("members", []), ("spec_id", ["Model2"])]
+    )
+    def test_malformed_feature_spec(self, rf_small, tmp_path, field, bad):
+        path = tampered(tmp_path, rf_small, lambda d: d["feature_spec"].__setitem__(field, bad))
+        with pytest.raises(CorruptModelError, match="feature_spec"):
             load_model(path)
 
     def test_bad_hyperparams(self, svm_small, tmp_path):
@@ -247,6 +315,22 @@ class TestCorruptionErrors:
 
         path = tampered(tmp_path, svm_small, widen)
         with pytest.raises(CorruptModelError, match="width"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "mutate, match",
+        [
+            (lambda d: d.update(dual_coefs=[None] * len(d["dual_coefs"])), "dual_coefs"),
+            (lambda d: d.update(support_vectors=[["a"] * len(r) for r in d["support_vectors"]]),
+             "support vectors"),
+            (lambda d: d["scaler"].update(mean=["x"] * len(d["scaler"]["mean"])), "mean"),
+            (lambda d: d["scaler"].update(kept=[1] * len(d["scaler"]["kept"])), "kept"),
+        ],
+        ids=["dual_coefs", "support_vectors", "mean", "kept"],
+    )
+    def test_non_numeric_svm_arrays(self, svm_small, tmp_path, mutate, match):
+        path = tampered(tmp_path, svm_small, mutate)
+        with pytest.raises(CorruptModelError, match=match):
             load_model(path)
 
     def test_boolean_bias(self, svm_small, tmp_path):
