@@ -189,7 +189,7 @@ def load_model(path: str | Path, expect_algo: str | None = None) -> RFModel | SV
     if not isinstance(hp_doc, dict):
         raise CorruptModelError("hyperparams must be an object")
     n_train = doc.get("n_train")
-    if not isinstance(n_train, int) or n_train < 0:
+    if type(n_train) is not int or n_train < 0:
         raise CorruptModelError("n_train must be a non-negative int")
 
     try:

@@ -138,104 +138,78 @@ _OPTIONS: dict[str, dict[str, tuple[object, bool]]] = {
 }
 
 
+_COMMAND_HELP = {
+    "indices": "compute a spectral-index raster from a band stack",
+    "stretch": "percentile-stretch bands onto [0, 1] for display",
+    "synth-data": "generate a synthetic labelled sample pool CSV",
+    "synth-scene": "generate a synthetic scene raster and truth map",
+    "train": "train one classifier on a sample CSV",
+    "tune": "grid-search hyperparameters with stratified CV",
+    "predict-scene": "classify every pixel of a stack with a saved model",
+    "evaluate": "score predicted labels against truth labels",
+    "matrix": "run the feature-set x test-case x algorithm grid",
+    "profile": "per-band mean reflectance by plastic-coverage bin",
+}
+
+
+def _is_number(value: object) -> bool:
+    """A finite JSON number; bools, NaN and infinities are not."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _is_int(value: object) -> bool:
+    return type(value) is int
+
+
+def _list_of(test: Callable[[object], bool]) -> Callable[[object], bool]:
+    return lambda value: isinstance(value, list) and all(map(test, value))
+
+
+# Option kinds by option name; an option not listed is free text.  A kind holds
+# the flag's add_argument keywords, then what a config-file value may be other
+# than a string (its wording in error messages, and its test).
+_Kind = tuple[dict[str, object], str, Callable[[object], bool]]
+_TEXT: _Kind = ({}, "", lambda value: False)
+_KINDS: dict[str, _Kind] = {
+    **dict.fromkeys((
+        "n_plastic", "n_water", "seed", "width", "height", "n_trees", "mtry", "max_depth",
+        "min_samples_split", "min_samples_leaf", "max_leaf_nodes", "max_passes", "folds", "jobs",
+    ), ({"type": int}, "an integer", _is_int)),
+    **dict.fromkeys(("noise_sd", "p_low", "p_high", "c", "sigma", "tolerance"),
+                    ({"type": float}, "a number", _is_number)),
+    **dict.fromkeys(("sigma_grid", "c_grid"), ({}, "a list of numbers", _list_of(_is_number))),
+    "mtry_grid": ({}, "a list of integers", _list_of(_is_int)),
+    "model": ({}, "an integer", _is_int),
+    "index": ({"choices": INDEX_IDS}, "", lambda value: False),
+    "algo": ({"choices": ("svm", "rf")}, "", lambda value: False),
+    "patch": ({"action": "append", "help": "row,col,height,width,fraction[,endmember]"},
+              "a list of strings", _list_of(lambda item: isinstance(item, str))),
+    "fractions": ({"help": 'e.g. ">40%%:0.6,30-40%%:0.4"'}, "an object of numbers",
+                  lambda value: isinstance(value, dict) and all(map(_is_number, value.values()))),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="plastiscan", description=__doc__)
     parser.add_argument("--version", action="version", version=f"plastiscan {__version__}")
     parser.add_argument("--config", help="JSON file of option defaults for the subcommand")
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def cmd(name: str, help_text: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help_text)
-
-    p = cmd("indices", "compute a spectral-index raster from a band stack")
-    p.add_argument("--in", dest="in_")
-    p.add_argument("--out")
-    p.add_argument("--index", choices=INDEX_IDS)
-
-    p = cmd("stretch", "percentile-stretch bands onto [0, 1] for display")
-    p.add_argument("--in", dest="in_")
-    p.add_argument("--out")
-    p.add_argument("--band")
-    p.add_argument("--p-low", type=float)
-    p.add_argument("--p-high", type=float)
-
-    p = cmd("synth-data", "generate a synthetic labelled sample pool CSV")
-    p.add_argument("--out")
-    p.add_argument("--n-plastic", type=int)
-    p.add_argument("--n-water", type=int)
-    p.add_argument("--noise-sd", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--endmembers")
-    p.add_argument("--fractions", help='e.g. ">40%%:0.6,30-40%%:0.4"')
-
-    p = cmd("synth-scene", "generate a synthetic scene raster and truth map")
-    p.add_argument("--out")
-    p.add_argument("--truth-out")
-    p.add_argument("--width", type=int)
-    p.add_argument("--height", type=int)
-    p.add_argument("--noise-sd", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--endmembers")
-    p.add_argument("--patch", action="append", help="row,col,height,width,fraction[,endmember]")
-
-    p = cmd("train", "train one classifier on a sample CSV")
-    p.add_argument("--samples")
-    p.add_argument("--model")
-    p.add_argument("--algo", choices=("svm", "rf"))
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n-trees", type=int)
-    p.add_argument("--mtry", type=int)
-    p.add_argument("--max-depth", type=int)
-    p.add_argument("--min-samples-split", type=int)
-    p.add_argument("--min-samples-leaf", type=int)
-    p.add_argument("--max-leaf-nodes", type=int)
-    p.add_argument("--c", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--max-passes", type=int)
-
-    p = cmd("tune", "grid-search hyperparameters with stratified CV")
-    p.add_argument("--samples")
-    p.add_argument("--model")
-    p.add_argument("--algo", choices=("svm", "rf"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--folds", type=int)
-    p.add_argument("--out")
-    p.add_argument("--mtry-grid")
-    p.add_argument("--sigma-grid")
-    p.add_argument("--c-grid")
-    p.add_argument("--n-trees", type=int)
-
-    p = cmd("predict-scene", "classify every pixel of a stack with a saved model")
-    p.add_argument("--in", dest="in_")
-    p.add_argument("--model-file")
-    p.add_argument("--out")
-
-    p = cmd("evaluate", "score predicted labels against truth labels")
-    p.add_argument("--pred")
-    p.add_argument("--truth")
-    p.add_argument("--out")
-
-    p = cmd("matrix", "run the feature-set x test-case x algorithm grid")
-    p.add_argument("--plastic")
-    p.add_argument("--water")
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int)
-    p.add_argument("--folds", type=int)
-    p.add_argument("--mtry-grid")
-    p.add_argument("--sigma-grid")
-    p.add_argument("--c-grid")
-    p.add_argument("--n-trees", type=int)
-    p.add_argument("--text-out")
-
-    p = cmd("profile", "per-band mean reflectance by plastic-coverage bin")
-    p.add_argument("--samples")
-    p.add_argument("--out")
-    p.add_argument("--bands")
-
+    for command, options in _OPTIONS.items():
+        p = sub.add_parser(command, help=_COMMAND_HELP[command])
+        for name in options:
+            p.add_argument("--" + name.replace("_", "-"), dest=name, **_KINDS.get(name, _TEXT)[0])
     return parser
+
+
+def _check_config_value(key: str, name: str, value: object) -> None:
+    flag, wording, test = _KINDS.get(name, _TEXT)
+    choices = flag.get("choices")
+    if choices is not None and value not in choices:
+        raise _UsageError(f"config key {key!r} must be one of {', '.join(choices)}, "
+                          f"got {json.dumps(value)}")
+    if not isinstance(value, str) and not test(value):
+        expected = f"{wording} or a string" if wording else "a string"
+        raise _UsageError(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
 
 
 def _merge_options(command: str, args: argparse.Namespace, config_path: str | None) -> RunConfig:
@@ -256,13 +230,11 @@ def _merge_options(command: str, args: argparse.Namespace, config_path: str | No
                 raise _UsageError(
                     f"config key {key!r} is not an option of '{command}'"
                 )
+            _check_config_value(key, norm, value)
             config[norm] = value
     merged: dict[str, object] = {}
     for name, (default, required) in table.items():
-        attr = "in_" if name == "in" else name
-        flag_value = getattr(args, attr, None)
-        if name == "patch" and flag_value == []:
-            flag_value = None
+        flag_value = getattr(args, name, None)
         if flag_value is not None:
             merged[name] = flag_value
         elif name in config:

@@ -31,12 +31,13 @@ from .spectra import (
     BAND_ORDER,
     BAND_REGISTRY,
     EPS_DENOM,
-    FDI_INTERPOLATION_FACTOR,
     FeatureSetSpec,
+    INDEX_FORMULAS,
     INDEX_IDS,
     INDEX_SOURCES,
     PLASTIC,
     WATER,
+    degenerate_denominator,
 )
 
 __all__ = [
@@ -391,13 +392,12 @@ def histogram_stretch(grid: Grid, p_low: float = 2.0, p_high: float = 98.0) -> G
 
 # --- index rasters ---------------------------------------------------------
 
-_tanh_elementwise = np.frompyfunc(math.tanh, 1, 1)
-
-
 def index_arrays(arrays: Mapping[str, np.ndarray], index_id: str) -> np.ndarray:
     """Vectorised index over float64 arrays; degenerate cells become NaN.
 
-    Must agree exactly with the scalar functions in :mod:`plastiscan.spectra`.
+    Evaluates the formula in :data:`plastiscan.spectra.INDEX_FORMULAS`, the same
+    expression the scalar functions there use, so each cell equals the scalar
+    result bit for bit.
     """
     if index_id not in INDEX_IDS:
         raise UnknownBandError(
@@ -407,25 +407,10 @@ def index_arrays(arrays: Mapping[str, np.ndarray], index_id: str) -> np.ndarray:
         if band_id not in arrays:
             raise MissingBandError(f"index {index_id} needs band {band_id}")
     with np.errstate(invalid="ignore", divide="ignore"):
+        out = INDEX_FORMULAS[index_id](*(arrays[b] for b in INDEX_SOURCES[index_id]))
         if index_id == "FDI":
-            re2 = arrays["B6"]
-            nir = arrays["B8"]
-            swir1 = arrays["B11"]
-            return nir - (re2 + (swir1 - re2) * FDI_INTERPOLATION_FACTOR)
-        red = arrays["B4"]
-        nir = arrays["B8"]
-        den = nir + red
-        degenerate = np.abs(den) < EPS_DENOM
-        if index_id == "PI":
-            out = nir / den
-        else:
-            out = (nir - red) / den
-            if index_id == "KNDVI":
-                # math.tanh, not np.tanh: the SIMD kernel differs from libm by
-                # up to 2 ulp, and these cells must match the scalar op bitwise.
-                out = _tanh_elementwise(out * out).astype(np.float64)
-        out = np.where(degenerate, np.nan, out)
-        return out
+            return out
+        return np.where(degenerate_denominator(arrays["B4"], arrays["B8"]), np.nan, out)
 
 
 def feature_columns(arrays: Mapping[str, np.ndarray], spec: FeatureSetSpec) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Band registry, spectral indices, and feature-set definitions.
 
-Scalar index math and :func:`feature_vector` here are the reference; samples and
-pixels get features from :func:`plastiscan.raster.feature_columns`, bit for bit.
+Each index formula is written once, in :data:`INDEX_FORMULAS`, for the scalar
+functions here and :func:`plastiscan.raster.index_arrays`; :func:`feature_vector`
+is the per-pixel reference for :func:`plastiscan.raster.feature_columns`.
 
 Index references:
     FDI   floating debris index (Biermann et al., 2020, Sci. Rep.)
@@ -15,7 +16,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Any, Callable, Mapping
+
+import numpy as np
 
 from .errors import (
     DegenerateDenominatorError,
@@ -105,7 +108,7 @@ BAND_ORDER: tuple[str, ...] = tuple(BAND_REGISTRY)
 # Index identifiers accepted wherever a single-band raster is produced.
 INDEX_IDS: tuple[str, ...] = ("FDI", "PI", "NDVI", "KNDVI")
 
-# Source bands each index draws on.
+# Source bands each index draws on, in the argument order of its formula.
 INDEX_SOURCES: Mapping[str, tuple[str, ...]] = {
     "FDI": ("B6", "B8", "B11"),
     "PI": ("B4", "B8"),
@@ -127,6 +130,38 @@ FDI_INTERPOLATION_FACTOR = (
     / (FDI_WAVELENGTH_SWIR1_NM - FDI_WAVELENGTH_RED_NM)
     * FDI_BASELINE_GAIN
 )  # = 1.7777778 to within 1e-7
+
+
+# The one definition of each index, arguments in INDEX_SOURCES order.  Only
+# arithmetic and np.tanh, so Python floats and float64 arrays run the same
+# expression and get the same bits wherever NumPy's tanh does not depend on a
+# value's position in an array.  Callers check inputs and denominators.
+
+def _fdi(re2: Any, nir: Any, swir1: Any) -> Any:
+    return nir - (re2 + (swir1 - re2) * FDI_INTERPOLATION_FACTOR)
+
+
+def _pi(red: Any, nir: Any) -> Any:
+    return nir / (nir + red)
+
+
+def _ndvi(red: Any, nir: Any) -> Any:
+    return (nir - red) / (nir + red)
+
+
+def _kndvi(red: Any, nir: Any) -> Any:
+    value = _ndvi(red, nir)
+    return np.tanh(value * value)
+
+
+INDEX_FORMULAS: Mapping[str, Callable[..., Any]] = {
+    "FDI": _fdi, "PI": _pi, "NDVI": _ndvi, "KNDVI": _kndvi,
+}
+
+
+def degenerate_denominator(red: Any, nir: Any) -> Any:
+    """Whether nir + red, the denominator of PI, NDVI and kNDVI, is degenerate."""
+    return abs(nir + red) < EPS_DENOM
 
 
 @dataclass(frozen=True)
@@ -168,22 +203,22 @@ class PixelSpectrum:
         return band_id in self.reflectance
 
 
-def _checked_ratio(num: float, den: float, what: str) -> float:
-    if abs(den) < EPS_DENOM:
-        raise DegenerateDenominatorError(f"{what}: denominator {den!r} is degenerate")
-    return num / den
-
-
 def _require_finite(what: str, **named: float) -> None:
     for name, value in named.items():
         if not math.isfinite(value):
             raise ValueError(f"{what}: {name} must be finite, got {value!r}")
 
 
+def _require_denominator(what: str, red: float, nir: float) -> None:
+    if degenerate_denominator(red, nir):
+        raise DegenerateDenominatorError(f"{what}: denominator {nir + red!r} is degenerate")
+
+
 def ndvi(red: float, nir: float) -> float:
     """(nir - red) / (nir + red)."""
     _require_finite("ndvi", red=red, nir=nir)
-    return _checked_ratio(nir - red, nir + red, "ndvi")
+    _require_denominator("ndvi", red, nir)
+    return _ndvi(red, nir)
 
 
 def kndvi(red: float, nir: float) -> float:
@@ -191,8 +226,9 @@ def kndvi(red: float, nir: float) -> float:
 
     Equals :func:`kndvi_sigma` with sigma = (nir + red) / 2.
     """
-    value = ndvi(red, nir)
-    return math.tanh(value * value)
+    _require_finite("kndvi", red=red, nir=nir)
+    _require_denominator("kndvi", red, nir)
+    return float(_kndvi(red, nir))
 
 
 def kndvi_sigma(red: float, nir: float, sigma: float) -> float:
@@ -200,13 +236,14 @@ def kndvi_sigma(red: float, nir: float, sigma: float) -> float:
     _require_finite("kndvi_sigma", red=red, nir=nir, sigma=sigma)
     if abs(sigma) < EPS_DENOM:
         raise DegenerateDenominatorError(f"kndvi_sigma: sigma {sigma!r} is degenerate")
-    return math.tanh(((nir - red) / (2.0 * sigma)) ** 2)
+    return float(np.tanh(((nir - red) / (2.0 * sigma)) ** 2))
 
 
 def pi(red: float, nir: float) -> float:
     """nir / (nir + red).  Identity: pi = (ndvi + 1) / 2."""
     _require_finite("pi", red=red, nir=nir)
-    return _checked_ratio(nir, nir + red, "pi")
+    _require_denominator("pi", red, nir)
+    return _pi(red, nir)
 
 
 def fdi(re2: float, nir: float, swir1: float) -> float:
@@ -216,8 +253,7 @@ def fdi(re2: float, nir: float, swir1: float) -> float:
     f = (833 - 665) / (1610 - 665) * 10.
     """
     _require_finite("fdi", re2=re2, nir=nir, swir1=swir1)
-    baseline = re2 + (swir1 - re2) * FDI_INTERPOLATION_FACTOR
-    return nir - baseline
+    return _fdi(re2, nir, swir1)
 
 
 @dataclass(frozen=True)

@@ -130,6 +130,15 @@ class TestExitCodes:
                            "--out", str(tmp_path / "labels.pgm"))
         assert code == 2
         assert "split threshold" in err
+        save_model(rf_small, model_path)
+        doc = json.loads(model_path.read_text())
+        doc["n_train"] = True
+        model_path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "predict-scene", "--in", str(stack_path),
+                           "--model-file", str(model_path),
+                           "--out", str(tmp_path / "labels.pgm"))
+        assert code == 2
+        assert "n_train" in err
 
     def test_bad_percentiles_are_usage_error(self, capsys, scene_files, tmp_path):
         stack_path, _ = scene_files
@@ -195,6 +204,30 @@ class TestConfigMerge:
         code, _, _ = run(capsys, "--config", str(config), "synth-data")
         assert code == 0
         assert out.exists()
+
+    @pytest.mark.parametrize("command, value", [
+        ("synth-scene", {"width": [3]}),
+        ("synth-scene", {"width": 3.5}),
+        ("synth-scene", {"patch": [1]}),
+        ("synth-scene", {"seed": True}),
+        ("tune", {"sigma_grid": [None]}),
+        ("tune", {"mtry_grid": [1.5]}),
+        ("tune", {"n_trees": float("inf")}),
+        ("tune", {"algo": "svn"}),
+        ("synth-data", {"fractions": {">40%": None}}),
+        ("synth-data", {"endmembers": 5}),
+    ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
+    def test_config_value_of_wrong_type(self, capsys, tmp_path, pool_csv, command, value):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(value))
+        argv = {
+            "synth-scene": ["--out", str(tmp_path / "scene.json")],
+            "tune": ["--samples", str(pool_csv), "--model", "1", "--algo", "svm"],
+            "synth-data": ["--out", str(tmp_path / "pool.csv")],
+        }[command]
+        code, _, err = run(capsys, "--config", str(config), command, *argv)
+        assert code == 1
+        assert f"config key {next(iter(value))!r}" in err
 
 
 class TestSynthCommands:

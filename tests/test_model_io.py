@@ -290,6 +290,9 @@ class TestCorruptionErrors:
         path = tampered(tmp_path, rf_small, lambda d: d.pop("n_train"))
         with pytest.raises(CorruptModelError, match="n_train"):
             load_model(path)
+        path = tampered(tmp_path, rf_small, lambda d: d.update(n_train=True))
+        with pytest.raises(CorruptModelError, match="n_train"):
+            load_model(path)
 
     def test_support_count_mismatch(self, svm_small, tmp_path):
         path = tampered(tmp_path, svm_small,

@@ -493,6 +493,36 @@ class TestIndexRasters:
                 assert outs["NDVI"][r, c] == ndvi(b4, b8)
                 assert outs["KNDVI"][r, c] == kndvi(b4, b8)
 
+    def test_scalar_ops_match_arrays_at_any_length_and_offset(self):
+        # Both paths evaluate one formula; for kNDVI the bits agree only while
+        # np.tanh gives the same result wherever a value sits in an array.
+        rng = np.random.default_rng(8)
+        bands = ("B4", "B6", "B8", "B11")
+        arrays = {bid: rng.uniform(0.0, 1.5, size=65_536) for bid in bands}
+        columns = {bid: arrays[bid].tolist() for bid in bands}
+        ops = {
+            "FDI": lambda b4, b6, b8, b11: fdi(b6, b8, b11),
+            "PI": lambda b4, b6, b8, b11: pi(b4, b8),
+            "NDVI": lambda b4, b6, b8, b11: ndvi(b4, b8),
+            "KNDVI": lambda b4, b6, b8, b11: kndvi(b4, b8),
+        }
+
+        def bits(values):
+            return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+        for index_id, op in ops.items():
+            scalar = bits([op(*cell) for cell in zip(*columns.values())])
+            for offset in (1, 3, 7, 13):
+                sliced = {bid: a[offset:] for bid, a in arrays.items()}
+                assert np.array_equal(bits(index_arrays(sliced, index_id)), scalar[offset:])
+            for i in range(0, 65_536, 257):
+                for cell in (
+                    {bid: a[i] for bid, a in arrays.items()},            # np.float64
+                    {bid: np.array(a[i]) for bid, a in arrays.items()},  # 0-d array
+                    {bid: a[i:i + 1] for bid, a in arrays.items()},      # length 1
+                ):
+                    assert bits(index_arrays(cell, index_id)).ravel().tolist() == [scalar[i]]
+
     def test_worked_fdi_pixel_in_2x2(self):
         stack = stack_from_arrays(
             B6=[[0.05, 0.06], [0.07, 0.08]],
