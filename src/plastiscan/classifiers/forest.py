@@ -4,10 +4,22 @@ Each tree trains on a size-n bootstrap of the data and considers ``mtry``
 features (sampled without replacement) at every split; candidate thresholds
 are the midpoints between adjacent distinct sorted values.  Ties in impurity
 decrease resolve toward the lower feature index, then the lower threshold,
-so training is fully deterministic given the seed.  Out-of-bag votes give the
-error curve and fuel permutation importances (mean decrease in OOB accuracy).
-Trees of up to 12 splits predict through a lookup table of leaf classes
-built once per tree (see ``_Tree``); deeper trees walk level by level.
+so training is fully deterministic given the seed.
+
+The trees of a forest grow in lockstep (see ``_grow_forest``).  Each keeps its
+own seeded stream, bootstrap and node order (depth first, or best first under
+``max_leaf_nodes``); at every step each tree draws the features of its next
+node, and one segmented pass scores the nodes of all trees together: one sort
+by (node and feature, value), cumulative plastic counts, the Gini decrease of
+every cut, and the first maximum per node.  This is the presorted column
+scan of XGBoost's exact greedy split finding (Chen & Guestrin, KDD 2016,
+section 4.1), run across the trees of a forest rather than the leaves of one
+tree; a tree comes out as it would if grown alone.
+
+Out-of-bag votes give the error curve and fuel permutation importances (mean
+decrease in OOB accuracy).  Trees of up to 12 splits predict through a lookup
+table of leaf classes built once per tree (see ``_Tree``); deeper trees walk
+level by level.
 """
 
 from __future__ import annotations
@@ -15,7 +27,8 @@ from __future__ import annotations
 import heapq
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +54,9 @@ __all__ = [
 ]
 
 
+_OPTIONAL_LIMITS = ("max_depth", "max_leaf_nodes")  # the int fields that may be None
+
+
 @dataclass(frozen=True)
 class RFHyperParams:
     """Forest shape and randomness controls."""
@@ -54,6 +70,12 @@ class RFHyperParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            optional = f.name in _OPTIONAL_LIMITS
+            if type(value) is not int and not (optional and value is None):
+                kind = "an int or None" if optional else "an int"
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
         if self.n_trees < 1:
             raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
         if self.mtry < 1:
@@ -178,160 +200,237 @@ class _Tree:
         return self.leaf_class[cur]
 
 
-def _gini(p: np.ndarray | float) -> np.ndarray | float:
+def _gini(p: np.ndarray) -> np.ndarray:
     return 2.0 * p * (1.0 - p)
 
 
-def _best_feature_split(v: np.ndarray, is_plastic: np.ndarray, min_leaf: int):
-    """Best midpoint threshold of one feature: (decrease, threshold) or None."""
-    order = np.argsort(v, kind="stable")
-    sv = v[order]
-    sp = is_plastic[order]
-    n = v.size
-    cut = np.nonzero(sv[:-1] < sv[1:])[0]  # split between cut and cut+1
-    if cut.size == 0:
-        return None
-    n_left = cut + 1
-    n_right = n - n_left
+class _Split(NamedTuple):
+    """A node's chosen split; each child is ``(rows, (n_plastic, n_water))``."""
+
+    decrease: float
+    feature: int
+    threshold: float
+    left: tuple
+    right: tuple
+
+
+def _best_splits(Xt, ranks, plastic, requests, min_leaf: int) -> list:
+    """Best split of every requested node, all scored in one segmented pass.
+
+    ``Xt`` is the training matrix transposed (n_features, n), free of NaN;
+    ``ranks`` holds each value's dense rank within its feature and
+    ``plastic`` the labels as 0/1.  A request is ``(rows, n_plastic,
+    features)``: a node's training rows (a multiset), its plastic count and
+    its sorted feature draw, of one length m for all requests.  Returns, per
+    request, None or its :class:`_Split`.
+
+    Segment ``b * m + k`` holds node b's rows sorted by its k-th feature, all
+    segments by one argsort of ``segment * n + rank``.  A cut falls where the
+    rank rises inside a segment, so tied values never straddle one and the
+    order of tied rows does not matter.  A node splits at the first maximum
+    over its cuts in (feature, threshold) order, if that maximum is positive.
+    """
+    rows_of, n_plastic, feats = zip(*requests)
+    n_nodes, m, n = len(requests), len(feats[0]), Xt.shape[1]
+    n_plastic = np.array(n_plastic)
+    feats = np.concatenate(feats).reshape(n_nodes, m)
+    size = np.fromiter(map(len, rows_of), dtype=np.int64, count=n_nodes)
+    rows = np.concatenate(rows_of)
+    # (m, N): the key of row j under its node's k-th feature at (k, j)
+    key = np.repeat(np.arange(n_nodes * m).reshape(n_nodes, m).T * n, size, axis=1)
+    key += ranks.ravel()[np.repeat(feats.T * n, size, axis=1) + rows]
+    key = key.ravel()
+    order = np.argsort(key)
+    key = key[order]
+    r = np.tile(rows, m)[order]
+    seg_size = np.repeat(size, m)
+    end = np.cumsum(seg_size)
+    start = end - seg_size
+    cum = np.zeros(r.size + 1, dtype=np.int64)
+    np.cumsum(plastic[r], out=cum[1:])
+
+    i = np.flatnonzero(key[:-1] < key[1:])  # cut between sorted positions i and i + 1
+    s = key[i] // n
+    n_left = i + 1 - start[s]
+    n_right = seg_size[s] - n_left  # 0 where i ends its segment; min_leaf >= 1 drops it
     ok = (n_left >= min_leaf) & (n_right >= min_leaf)
-    if not ok.any():
-        return None
-    cut = cut[ok]
-    n_left = n_left[ok].astype(np.float64)
-    n_right = n_right[ok].astype(np.float64)
-    plastic_left = np.cumsum(sp)[cut].astype(np.float64)
-    total_plastic = float(sp.sum())
-    parent = _gini(total_plastic / n)
-    child = (
-        n_left * _gini(plastic_left / n_left)
-        + n_right * _gini((total_plastic - plastic_left) / n_right)
-    ) / n
-    decrease = parent - child
-    j = int(np.argmax(decrease))  # first max -> lowest threshold on ties
-    threshold = (sv[cut[j]] + sv[cut[j] + 1]) / 2.0
-    return float(decrease[j]), float(threshold)
+    i, s, n_left, n_right = i[ok], s[ok], n_left[ok], n_right[ok]
+    plastic_left = cum[i + 1] - cum[start[s]]
+    b = s // m
+    # the float64 expression of a one-node search, elementwise
+    n_all = seg_size[s].astype(np.float64)
+    p_all = n_plastic[b].astype(np.float64)
+    nl = n_left.astype(np.float64)
+    nr = n_right.astype(np.float64)
+    pl = plastic_left.astype(np.float64)
+    child = (nl * _gini(pl / nl) + nr * _gini((p_all - pl) / nr)) / n_all
+    decrease = _gini(p_all / n_all) - child
+
+    # first maximum per node; cuts are in (node, feature, threshold) order
+    best = np.zeros(n_nodes)
+    np.maximum.at(best, b, decrease)
+    hit = np.flatnonzero((decrease == best[b]) & (decrease > 0.0))
+    first = np.ones(hit.size, dtype=bool)
+    first[1:] = b[hit[1:]] != b[hit[:-1]]
+    win = hit[first]
+    i, s, b = i[win], s[win], b[win]
+    f = feats.ravel()[s]
+    threshold = (Xt[f, r[i]] + Xt[f, r[i + 1]]) / 2.0
+    out = [None] * n_nodes
+    for node, feature, dec, thr, lo, cut, hi, p_node, p_left, n_l in zip(
+        b.tolist(), f.tolist(), decrease[win].tolist(), threshold.tolist(),
+        start[s].tolist(), (i + 1).tolist(), end[s].tolist(), n_plastic[b].tolist(),
+        plastic_left[win].tolist(), n_left[win].tolist(),
+    ):
+        p_right = p_node - p_left
+        # copies, so that a waiting node does not hold this call's arrays
+        left = (r[lo:cut].copy(), (p_left, n_l - p_left))
+        right = (r[cut:hi].copy(), (p_right, hi - cut - p_right))
+        out[node] = _Split(dec, feature, thr, left, right)
+    return out
 
 
-def _find_split(X, is_plastic, idx, hp: RFHyperParams, n_features: int, rng):
-    """Best (decrease, feature, threshold) over an mtry draw, or None."""
-    mtry = min(hp.mtry, n_features)
-    feats = np.sort(rng.choice(n_features, size=mtry, replace=False))
-    best = None
-    for f in feats:
-        found = _best_feature_split(X[idx, f], is_plastic[idx], hp.min_samples_leaf)
-        if found is None:
-            continue
-        decrease, threshold = found
-        if decrease <= 0.0:
-            continue
-        if best is None or decrease > best[0]:
-            best = (decrease, int(f), threshold)
-    return best
+class _Nodes:
+    """A growing tree's node arrays, as lists; feature -1 marks a leaf."""
 
+    __slots__ = ("feature", "threshold", "left", "right", "counts")
 
-class _TreeBuilder:
-    def __init__(self, X, is_plastic, hp: RFHyperParams, rng):
-        self.X = X
-        self.is_plastic = is_plastic
-        self.hp = hp
-        self.rng = rng
-        self.n_features = X.shape[1]
+    def __init__(self) -> None:
         self.feature: list[int] = []
         self.threshold: list[float] = []
         self.left: list[int] = []
         self.right: list[int] = []
         self.counts: list[tuple[int, int]] = []
 
-    def _alloc(self, idx) -> int:
+    def alloc(self, counts: tuple[int, int], parent: int = -1, is_left: bool = True) -> int:
         node = len(self.feature)
         self.feature.append(-1)
         self.threshold.append(0.0)
         self.left.append(-1)
         self.right.append(-1)
-        n_plastic = int(self.is_plastic[idx].sum())
-        self.counts.append((n_plastic, int(idx.size - n_plastic)))
+        self.counts.append(counts)
+        if parent >= 0:
+            (self.left if is_left else self.right)[parent] = node
         return node
 
-    def _splittable(self, idx, depth) -> bool:
-        hp = self.hp
-        if hp.max_depth is not None and depth >= hp.max_depth:
-            return False
-        if idx.size < hp.min_samples_split:
-            return False
-        n_plastic = self.is_plastic[idx].sum()
-        return 0 < n_plastic < idx.size  # impure
-
-    def _try_split(self, idx, depth):
-        if not self._splittable(idx, depth):
-            return None
-        return _find_split(self.X, self.is_plastic, idx, self.hp, self.n_features, self.rng)
-
-    def _apply(self, node: int, idx, split):
-        _, f, thr = split
-        go_left = self.X[idx, f] <= thr
-        self.feature[node] = f
-        self.threshold[node] = thr
-        left_idx = idx[go_left]
-        right_idx = idx[~go_left]
-        return left_idx, right_idx
-
-    def build_depth_first(self, idx) -> None:
-        stack = [(idx, 0, -1, True)]
-        while stack:
-            node_idx, depth, parent, is_left = stack.pop()
-            node = self._alloc(node_idx)
-            if parent >= 0:
-                if is_left:
-                    self.left[parent] = node
-                else:
-                    self.right[parent] = node
-            split = self._try_split(node_idx, depth)
-            if split is None:
-                continue
-            left_idx, right_idx = self._apply(node, node_idx, split)
-            # push right first so the left subtree is grown first
-            stack.append((right_idx, depth + 1, node, False))
-            stack.append((left_idx, depth + 1, node, True))
-
-    def build_best_first(self, idx) -> None:
-        """Grow by largest impurity decrease until max_leaf_nodes leaves."""
-        max_leaves = self.hp.max_leaf_nodes
-        root = self._alloc(idx)
-        heap: list = []
-        tick = 0  # FIFO tie-break for equal decreases
-        split = self._try_split(idx, 0)
-        if split is not None:
-            heapq.heappush(heap, (-split[0], tick, root, idx, 0, split))
-            tick += 1
-        leaves = 1
-        while heap and leaves < max_leaves:
-            _, _, node, node_idx, depth, split = heapq.heappop(heap)
-            left_idx, right_idx = self._apply(node, node_idx, split)
-            for child_idx, is_left in ((left_idx, True), (right_idx, False)):
-                child = self._alloc(child_idx)
-                if is_left:
-                    self.left[node] = child
-                else:
-                    self.right[node] = child
-                child_split = self._try_split(child_idx, depth + 1)
-                if child_split is not None:
-                    heapq.heappush(
-                        heap, (-child_split[0], tick, child, child_idx, depth + 1, child_split)
-                    )
-                    tick += 1
-            leaves += 1
+    def set_split(self, node: int, split: _Split) -> None:
+        self.feature[node] = split.feature
+        self.threshold[node] = split.threshold
 
     def finish(self, in_bag) -> _Tree:
         return _Tree(self.feature, self.threshold, self.left, self.right, self.counts, in_bag)
 
 
-def _grow_tree(X, is_plastic, hp: RFHyperParams, rng, in_bag) -> _Tree:
-    builder = _TreeBuilder(X, is_plastic, hp, rng)
-    if hp.max_leaf_nodes is None:
-        builder.build_depth_first(in_bag)
-    else:
-        builder.build_best_first(in_bag)
-    return builder.finish(in_bag)
+def _splittable(hp: RFHyperParams, rows, counts, depth: int) -> bool:
+    if hp.max_depth is not None and depth >= hp.max_depth:
+        return False
+    return rows.size >= hp.min_samples_split and counts[0] > 0 and counts[1] > 0  # impure
+
+
+def _depth_first(nodes: _Nodes, rows, counts, hp: RFHyperParams, draw):
+    """Grow one tree depth first, left subtree first.
+
+    A generator: it yields the requests (see :func:`_best_splits`) of the
+    nodes it needs searched and is sent back their splits.
+    """
+    stack = [(rows, counts, 0, -1, True)]
+    while stack:
+        rows, counts, depth, parent, is_left = stack.pop()
+        node = nodes.alloc(counts, parent, is_left)
+        if not _splittable(hp, rows, counts, depth):
+            continue
+        (split,) = yield [(rows, counts[0], draw())]
+        if split is None:
+            continue
+        nodes.set_split(node, split)
+        # push right first so the left subtree is grown first
+        stack.append((*split.right, depth + 1, node, False))
+        stack.append((*split.left, depth + 1, node, True))
+
+
+def _best_first(nodes: _Nodes, rows, counts, hp: RFHyperParams, draw):
+    """Grow one tree by largest impurity decrease until max_leaf_nodes leaves.
+
+    Equal decreases split in the order they were found.  A generator like
+    :func:`_depth_first`; the children of the last split are not searched,
+    as no split of theirs could be applied.
+    """
+    heap: list = []
+    tick = 0  # FIFO tie-break for equal decreases
+    leaves = 1
+    grown = [(nodes.alloc(counts), rows, counts, 0)]
+    while True:
+        asks = [g for g in grown if _splittable(hp, *g[1:])]
+        if asks:
+            splits = yield [(rows, counts[0], draw()) for _, rows, counts, _ in asks]
+            for (node, _, _, depth), split in zip(asks, splits):
+                if split is not None:
+                    heapq.heappush(heap, (-split.decrease, tick, node, depth, split))
+                    tick += 1
+        if not heap:
+            return
+        _, _, node, depth, split = heapq.heappop(heap)
+        nodes.set_split(node, split)
+        leaves += 1
+        grown = [
+            (nodes.alloc(counts, node, is_left), rows, counts, depth + 1)
+            for (rows, counts), is_left in ((split.left, True), (split.right, False))
+        ]
+        if leaves >= hp.max_leaf_nodes:
+            return
+
+
+# Values scored by one _best_splits call at most.  It bounds the call's
+# temporaries (about 120 bytes a value) when a wide forest starts with many
+# large nodes; calls this size or smaller are no slower per value.
+_VALUES_PER_CALL = 1 << 13
+
+
+def _grow_forest(X, is_plastic, hp: RFHyperParams) -> list[_Tree]:
+    """Grow all trees of a forest in lockstep.
+
+    Each tree keeps its own seeded stream, bootstrap and node order.  At
+    every step each tree with work left draws the features of its next
+    node(s) from its own stream, and :func:`_best_splits` scores the nodes
+    of all trees together, so each tree is the one it would be if grown
+    alone.
+    """
+    n, n_features = X.shape
+    mtry = min(hp.mtry, n_features)
+    grow = _depth_first if hp.max_leaf_nodes is None else _best_first
+    trees, waiting = [], []
+    for t in range(hp.n_trees):
+        rng = seeded_rng(hp.seed, "tree", t)
+        in_bag = rng.integers(0, n, size=n)
+        n_plastic = int(is_plastic[in_bag].sum())
+        nodes = _Nodes()
+        trees.append((nodes, in_bag))
+        draw = lambda rng=rng: np.sort(rng.choice(n_features, size=mtry, replace=False))
+        waiting.append((grow(nodes, in_bag, (n_plastic, n - n_plastic), hp, draw), None))
+    Xt = np.ascontiguousarray(X.T)
+    ranks = np.array([np.unique(column, return_inverse=True)[1] for column in Xt])
+    plastic = is_plastic.astype(np.int64)
+    per_call = max(1, _VALUES_PER_CALL // (n * mtry))
+    while waiting:
+        asked_by, requests = [], []
+        for tree, splits in waiting:
+            try:
+                asked = tree.send(splits)
+            except StopIteration:
+                continue
+            asked_by.append((tree, len(asked)))
+            requests += asked
+        splits = [
+            split
+            for at in range(0, len(requests), per_call)
+            for split in _best_splits(Xt, ranks, plastic, requests[at:at + per_call],
+                                      hp.min_samples_leaf)
+        ]
+        waiting, at = [], 0
+        for tree, k in asked_by:
+            waiting.append((tree, splits[at:at + k]))
+            at += k
+    return [nodes.finish(in_bag) for nodes, in_bag in trees]
 
 
 @dataclass(eq=False)
@@ -371,12 +470,7 @@ def train_rf(table: SampleTable, spec: FeatureSetSpec, hp: RFHyperParams) -> RFM
     is_plastic = y == PLASTIC
     n = len(y)
 
-    trees: list[_Tree] = []
-    for t in range(hp.n_trees):
-        rng = seeded_rng(hp.seed, "tree", t)
-        in_bag = rng.integers(0, n, size=n)
-        trees.append(_grow_tree(X, is_plastic, hp, rng, in_bag))
-
+    trees = _grow_forest(X, is_plastic, hp)
     oob = _oob_rows(trees, n)
     votes = np.zeros((n, 2), dtype=np.int64)
     curve = np.empty(hp.n_trees, dtype=np.float64)

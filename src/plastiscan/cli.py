@@ -210,6 +210,14 @@ def _check_config_value(key: str, name: str, value: object) -> None:
     if not isinstance(value, str) and not test(value):
         expected = f"{wording} or a string" if wording else "a string"
         raise _UsageError(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
+    convert = flag.get("type")
+    if isinstance(value, str) and convert is not None:
+        try:
+            convert(value)
+        except ValueError:
+            raise _UsageError(
+                f"config key {key!r} must be {wording}, got {json.dumps(value)}"
+            ) from None
 
 
 def _merge_options(command: str, args: argparse.Namespace, config_path: str | None) -> RunConfig:

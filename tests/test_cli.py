@@ -216,6 +216,8 @@ class TestConfigMerge:
         ("tune", {"algo": "svn"}),
         ("synth-data", {"fractions": {">40%": None}}),
         ("synth-data", {"endmembers": 5}),
+        ("tune", {"n_trees": "abc"}),
+        ("synth-data", {"noise_sd": "abc"}),
     ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
     def test_config_value_of_wrong_type(self, capsys, tmp_path, pool_csv, command, value):
         config = tmp_path / "cfg.json"

@@ -16,7 +16,7 @@ from plastiscan import (
     save_model,
     train_rf,
 )
-from plastiscan.classifiers.forest import RFModel, _Tree
+from plastiscan.classifiers.forest import RFModel, _Tree, _best_splits
 from plastiscan.dataset import SampleTable
 from plastiscan.errors import (
     ClassTooSmallError,
@@ -28,6 +28,7 @@ from plastiscan.errors import (
 )
 from plastiscan.spectra import FeatureVector
 
+import forest_oracle
 from conftest import band_spec, table_from_features
 
 
@@ -101,6 +102,12 @@ class TestHyperParams:
             dict(min_samples_split=1),
             dict(min_samples_leaf=0),
             dict(max_leaf_nodes=1),
+            dict(mtry=1.5),
+            dict(max_depth=True),
+            dict(min_samples_leaf=2.5),
+            dict(n_trees=np.int64(5)),
+            dict(max_leaf_nodes=8.0),
+            dict(seed=None),
         ],
     )
     def test_invalid_values(self, kwargs):
@@ -250,6 +257,167 @@ class TestTraining:
         table = table_from_features([[0.1, 0.2]], [PLASTIC])
         with pytest.raises(ClassTooSmallError):
             train_rf(table, band_spec(2), RFHyperParams(n_trees=5, mtry=1, seed=0))
+
+
+P, W = PLASTIC, WATER
+
+
+def tied_table(n, n_features, seed, p_plastic=0.4):
+    """Features drawn from five values per column, and the first quarter of
+    the rows repeated (labels too) further down."""
+    rng = np.random.default_rng(seed)
+    levels = np.round(rng.uniform(0.0, 1.0, size=(5, n_features)), 2)
+    X = np.take_along_axis(levels, rng.integers(0, 5, size=(n, n_features)), axis=0)
+    y = rng.choice([PLASTIC, WATER], size=n, p=[p_plastic, 1.0 - p_plastic])
+    y[:2] = PLASTIC, WATER
+    q = n // 4
+    X[n - q:], y[n - q:] = X[:q], y[:q]
+    return table_from_features(X, y)
+
+
+def assert_trees_match_oracle(table, n_features, hp):
+    """train_rf grows, bit for bit, the trees of the per-node reference."""
+    model = train_rf(table, band_spec(n_features), hp)
+    expected = forest_oracle.grow_forest(table, band_spec(n_features), hp)
+    assert len(model.trees) == len(expected) == hp.n_trees
+    for tree, ref in zip(model.trees, expected):
+        for name in forest_oracle.FIELDS:
+            got, want = getattr(tree, name), ref[name]
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+    return model
+
+
+class TestLockstepGrowth:
+    """Trees grown in lockstep equal those of the one-node-at-a-time grower."""
+
+    @pytest.mark.parametrize("mtry", [1, 2, 3, 4])
+    @pytest.mark.parametrize("min_samples_leaf", [1, 3])
+    @pytest.mark.parametrize("limits", [
+        {}, {"max_depth": 3}, {"max_leaf_nodes": 5},
+        {"max_leaf_nodes": 4, "max_depth": 2, "min_samples_split": 6},
+    ], ids=["unbounded", "max_depth", "best_first", "best_first_depth"])
+    def test_tied_values_and_duplicate_rows(self, mtry, min_samples_leaf, limits):
+        hp = RFHyperParams(n_trees=6, mtry=mtry, min_samples_leaf=min_samples_leaf,
+                           seed=mtry, **limits)
+        assert_trees_match_oracle(tied_table(60, 4, seed=mtry), 4, hp)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_continuous_values(self, seed):
+        table, _, _ = uniform_table(n=80, n_features=3, seed=seed)
+        for hp in (RFHyperParams(n_trees=8, mtry=2, seed=seed),
+                   RFHyperParams.final_profile(3, seed=seed)):
+            assert_trees_match_oracle(table, 3, hp)
+
+    @pytest.mark.parametrize("max_leaf_nodes", [None, 3])
+    def test_one_tree_forest(self, max_leaf_nodes):
+        hp = RFHyperParams(n_trees=1, mtry=2, max_leaf_nodes=max_leaf_nodes, seed=4)
+        assert_trees_match_oracle(tied_table(40, 3, seed=4), 3, hp)
+
+    @pytest.mark.parametrize("x, y", [
+        ([0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9], [P, W, W, P, P, W, W, P]),
+        ([0.1, 0.1, 0.2, 0.2, 0.3, 0.3, 0.4, 0.4], [P, W, P, W, W, P, W, P]),
+    ], ids=["mirrored", "paired"])
+    def test_equal_decreases_split_in_the_order_found(self, x, y):
+        # Symmetric rows give some trees two leaves of equal best decrease
+        # while only one more split is allowed.
+        hp = RFHyperParams(n_trees=100, mtry=1, max_leaf_nodes=3, seed=0)
+        assert_trees_match_oracle(table_from_features(np.c_[x], y), 1, hp)
+
+    @pytest.mark.parametrize("max_leaf_nodes", [None, 6])
+    def test_trees_that_finish_at_very_different_steps(self, max_leaf_nodes):
+        # One plastic row in 30: a bootstrap without it is a single leaf,
+        # while the others keep splitting off water.
+        rng = np.random.default_rng(11)
+        X = rng.uniform(size=(30, 3))
+        y = np.array([PLASTIC] + [WATER] * 29)
+        hp = RFHyperParams(n_trees=20, mtry=1, max_leaf_nodes=max_leaf_nodes, seed=2)
+        model = assert_trees_match_oracle(table_from_features(X, y), 3, hp)
+        sizes = [len(tree.feature) for tree in model.trees]
+        assert min(sizes) == 1 and max(sizes) >= 5
+
+
+def search(X, y, features, min_leaf=1):
+    """The split ``_best_splits`` picks for one node holding every row."""
+    Xt = np.array(X, dtype=np.float64).T
+    ranks = np.array([np.unique(column, return_inverse=True)[1] for column in Xt])
+    plastic = (np.asarray(y) == PLASTIC).astype(np.int64)
+    rows = np.arange(Xt.shape[1])
+    request = (rows, int(plastic.sum()), np.array(features))
+    (split,) = _best_splits(Xt, ranks, plastic, [request], min_leaf)
+    return split
+
+
+class TestSplitRules:
+    """The tie-breaks and limits the module docstring states."""
+
+    def test_equal_decrease_on_two_features_takes_the_lower_index(self):
+        x = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+        y = [P, P, W, P, W, W]
+        for X in (np.c_[x, 3.0 * x + 1.0], np.c_[3.0 * x + 1.0, x]):
+            _, feature, threshold, _, _ = search(X, y, [0, 1])
+            assert feature == 0
+            assert threshold == (X[1, 0] + X[2, 0]) / 2.0
+
+    def test_forest_never_prefers_a_copy_with_a_higher_index(self):
+        table, X, _ = uniform_table(n=40, n_features=1, seed=12)
+        twin = table_from_features(np.c_[X, 0.5 * X + 0.1], [s.label for s in table.rows])
+        model = train_rf(twin, band_spec(2), RFHyperParams(n_trees=20, mtry=2, seed=0))
+        split = np.concatenate([tree.feature[tree.feature >= 0] for tree in model.trees])
+        assert split.size > 0 and (split == 0).all()
+
+    def test_equal_decrease_at_two_thresholds_takes_the_lower(self):
+        # cutting off either plastic end row gains the same
+        split = search([[0.0], [1.0], [2.0], [3.0]], [P, W, W, P], [0])
+        decrease, feature, threshold, left, right = split
+        assert (feature, threshold) == (0, 0.5)
+        assert sorted(left[0].tolist()) == [0] and left[1] == (1, 0)
+        assert sorted(right[0].tolist()) == [1, 2, 3] and right[1] == (1, 2)
+        assert decrease == pytest.approx(1.0 / 6.0)
+
+    def test_zero_best_decrease_stays_a_leaf(self):
+        # the one cut leaves both sides as mixed as the parent
+        assert search([[0.0], [0.0], [1.0], [1.0]], [P, W, P, W], [0]) is None
+
+    def test_no_cut_between_tied_values(self):
+        assert search([[0.5], [0.5], [0.5]], [P, W, W], [0]) is None
+
+    def test_min_samples_leaf_removes_the_winning_cut(self):
+        X = [[0.0], [1.0], [2.0], [3.0], [4.0], [5.0]]
+        y = [P, W, W, W, W, W]
+        assert search(X, y, [0], min_leaf=1)[2] == 0.5
+        assert search(X, y, [0], min_leaf=2)[2] == 1.5
+        assert search(X, y, [0], min_leaf=3) is not None
+        assert search(X, y, [0], min_leaf=4) is None
+
+    def test_batched_nodes_split_as_they_would_alone(self):
+        rng = np.random.default_rng(13)
+        X = rng.choice([0.1, 0.4, 0.7], size=(30, 3))
+        y = rng.choice([P, W], size=30)
+        Xt = X.T.copy()
+        ranks = np.array([np.unique(column, return_inverse=True)[1] for column in Xt])
+        plastic = (y == P).astype(np.int64)
+        requests = []
+        for _ in range(12):
+            rows = rng.integers(0, 30, size=int(rng.integers(2, 30)))
+            feats = np.sort(rng.choice(3, size=2, replace=False))
+            requests.append((rows, int(plastic[rows].sum()), feats))
+        together = _best_splits(Xt, ranks, plastic, requests, 2)
+        for request, split in zip(requests, together):
+            (alone,) = _best_splits(Xt, ranks, plastic, [request], 2)
+            if alone is None:
+                assert split is None
+                continue
+            assert split[:3] == alone[:3]
+            for a, b in zip(split[3:], alone[3:]):
+                assert sorted(a[0].tolist()) == sorted(b[0].tolist()) and a[1] == b[1]
+
+    def test_min_samples_leaf_holds_in_every_node(self):
+        table, _, _ = uniform_table(n=50, n_features=3, seed=14)
+        model = train_rf(table, band_spec(3),
+                         RFHyperParams(n_trees=20, mtry=2, min_samples_leaf=3, seed=0))
+        for tree in model.trees:
+            assert tree.counts.sum(axis=1).min() >= 3
 
 
 class TestPrediction:

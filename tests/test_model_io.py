@@ -286,6 +286,14 @@ class TestCorruptionErrors:
         with pytest.raises(CorruptModelError, match="hyperparams"):
             load_model(path)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("mtry", 1.5), ("max_depth", True), ("min_samples_leaf", 2.5),
+    ])
+    def test_rf_hyperparams_must_be_ints(self, rf_small, tmp_path, field, bad):
+        path = tampered(tmp_path, rf_small, lambda d: d["hyperparams"].update({field: bad}))
+        with pytest.raises(CorruptModelError, match=f"bad hyperparams: {field} must be an int"):
+            load_model(path)
+
     def test_missing_n_train(self, rf_small, tmp_path):
         path = tampered(tmp_path, rf_small, lambda d: d.pop("n_train"))
         with pytest.raises(CorruptModelError, match="n_train"):
