@@ -17,7 +17,8 @@ section 4.1), run across the trees of a forest rather than the leaves of one
 tree; a tree comes out as it would if grown alone.
 
 Out-of-bag votes give the error curve and fuel permutation importances (mean
-decrease in OOB accuracy).  Trees of up to 12 splits predict through a lookup
+decrease in OOB accuracy), worked out on first read, so that fits which only
+predict never pay for them.  Trees of up to 12 splits predict through a lookup
 table of leaf classes built once per tree (see ``_Tree``); deeper trees walk
 level by level.
 """
@@ -27,7 +28,8 @@ from __future__ import annotations
 import heapq
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -435,19 +437,37 @@ def _grow_forest(X, is_plastic, hp: RFHyperParams) -> list[_Tree]:
 
 @dataclass(eq=False)
 class RFModel:
-    """Trained forest plus its out-of-bag diagnostics."""
+    """Trained forest.  Its OOB diagnostics are worked out together when first
+    read, from the training (X, y) that :func:`train_rf` keeps beside the trees'
+    bootstrap records; a model loaded from disk holds its file's values instead."""
 
     spec: FeatureSetSpec
     hyperparams: RFHyperParams
     trees: list
-    oob_error: float
-    oob_curve: np.ndarray  # error after t+1 trees, length n_trees
-    importances: np.ndarray  # mean decrease in OOB accuracy per feature
     n_train: int
+    _training: tuple | None = field(default=None, init=False, repr=False)
+
+    oob_error = property(lambda self: self._diagnostics[0])
+    oob_curve = property(lambda self: self._diagnostics[1])  # error after t+1 trees
+    importances = property(lambda self: self._diagnostics[2])  # mean OOB accuracy drop
 
     @property
     def has_oob_records(self) -> bool:
         return all(t.in_bag is not None for t in self.trees)
+
+    @cached_property
+    def _diagnostics(self) -> tuple[float, np.ndarray, np.ndarray]:
+        if self._training is None:
+            raise MissingOobRecordsError("model holds no OOB diagnostics and no training data")
+        X, y = self._training
+        oob = _oob_rows(self.trees, len(y))
+        curve = _oob_curve(self.trees, oob, X, y)
+        if math.isnan(curve[-1]):  # stacklevel: past cached_property and the property
+            warnings.warn("no sample was ever out of bag; OOB error undefined", stacklevel=4)
+        importances = _permutation_importance(
+            self.trees, oob, X, y, self.hyperparams.seed, self.spec.n_features
+        )
+        return float(curve[-1]), curve, importances
 
 
 def train_rf(table: SampleTable, spec: FeatureSetSpec, hp: RFHyperParams) -> RFModel:
@@ -467,13 +487,26 @@ def train_rf(table: SampleTable, spec: FeatureSetSpec, hp: RFHyperParams) -> RFM
     X, y = feature_matrix(table, spec)
     if len(set(y.tolist())) < 2:
         raise SingleClassError("training data contains a single class")
-    is_plastic = y == PLASTIC
-    n = len(y)
+    trees = _grow_forest(X, y == PLASTIC, hp)
+    model = RFModel(spec=spec, hyperparams=hp, trees=trees, n_train=len(y))
+    model._training = (X, y)
+    return model
 
-    trees = _grow_forest(X, is_plastic, hp)
-    oob = _oob_rows(trees, n)
-    votes = np.zeros((n, 2), dtype=np.int64)
-    curve = np.empty(hp.n_trees, dtype=np.float64)
+
+def _oob_rows(trees, n: int) -> list[np.ndarray]:
+    """Per tree, the indices of the n training rows its bootstrap never drew."""
+    oob = []
+    for tree in trees:
+        mask = np.ones(n, dtype=bool)
+        mask[tree.in_bag] = False
+        oob.append(np.nonzero(mask)[0])
+    return oob
+
+
+def _oob_curve(trees, oob, X, y) -> np.ndarray:
+    """OOB majority-vote error after each tree; NaN while no row was out of bag."""
+    votes = np.zeros((len(y), 2), dtype=np.int64)
+    curve = np.empty(len(trees), dtype=np.float64)
     for t, (tree, oob_rows) in enumerate(zip(trees, oob)):
         if oob_rows.size:
             preds = tree.predict(X[oob_rows])
@@ -485,30 +518,7 @@ def train_rf(table: SampleTable, spec: FeatureSetSpec, hp: RFHyperParams) -> RFM
             curve[t] = float(np.mean(agg[seen] != y[seen]))
         else:
             curve[t] = float("nan")
-    oob_error = float(curve[-1])
-    if math.isnan(oob_error):
-        warnings.warn("no sample was ever out of bag; OOB error undefined", stacklevel=2)
-
-    importances = _permutation_importance(trees, oob, X, y, hp.seed, spec.n_features)
-    return RFModel(
-        spec=spec,
-        hyperparams=hp,
-        trees=trees,
-        oob_error=oob_error,
-        oob_curve=curve,
-        importances=importances,
-        n_train=n,
-    )
-
-
-def _oob_rows(trees, n: int) -> list[np.ndarray]:
-    """Per tree, the indices of the n training rows its bootstrap never drew."""
-    oob = []
-    for tree in trees:
-        mask = np.ones(n, dtype=bool)
-        mask[tree.in_bag] = False
-        oob.append(np.nonzero(mask)[0])
-    return oob
+    return curve
 
 
 def _permutation_importance(trees, oob, X, y, seed: int, n_features: int) -> np.ndarray:

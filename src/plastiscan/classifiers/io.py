@@ -1,9 +1,9 @@
 """JSON persistence for trained models.
 
 Floats serialise through Python's shortest round-trip repr, so a saved model
-predicts bit-for-bit identically after loading.  Forest bootstrap records are
-deliberately not persisted: permutation importances must be recomputed on the
-freshly trained model.
+predicts bit-for-bit identically after loading.  A forest's file holds its
+OOB error, curve and importances but not the bootstrap records or training
+matrix, so ``rf_permutation_importance`` needs the freshly trained model.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import CorruptModelError, ModelSchemaError
 from ..spectra import FeatureSetSpec, MODEL_SPECS
-from .forest import RFHyperParams, RFModel, _Tree
+from .forest import RFHyperParams, RFModel, _Nodes, _Tree
 from .svm import Scaler, SVMHyperParams, SVMModel
 
 __all__ = ["SCHEMA_VERSION", "save_model", "load_model"]
@@ -52,50 +52,32 @@ def _tree_to_json(tree: _Tree, node: int = 0):
     }
 
 
-class _TreeReader:
-    def __init__(self):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.counts: list[tuple[int, int]] = []
-
-    def walk(self, node) -> int:
-        idx = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.counts.append((0, 0))
-        if isinstance(node, list):
-            if (
-                len(node) != 2
-                or not all(type(c) is int and c >= 0 for c in node)  # bools are not counts
-                or sum(node) == 0
-            ):
-                raise CorruptModelError(f"leaf counts must be two non-negative ints, got {node!r}")
-            self.counts[idx] = (node[0], node[1])
-            return idx
-        if not isinstance(node, dict) or set(node) != {"f", "t", "l", "r"}:
-            raise CorruptModelError(f"tree node must be a leaf pair or {{f,t,l,r}}, got {node!r}")
-        f, t = node["f"], node["t"]
-        if type(f) is not int or f < 0:
-            raise CorruptModelError(f"split feature must be a non-negative int, got {f!r}")
-        if not _is_number(t) or not math.isfinite(t):
-            raise CorruptModelError(f"split threshold must be a finite number, got {t!r}")
-        self.feature[idx] = f
-        self.threshold[idx] = float(t)
-        self.left[idx] = self.walk(node["l"])
-        self.right[idx] = self.walk(node["r"])
-        # internal counts are the children's sums (informational only)
-        self.counts[idx] = (
-            self.counts[self.left[idx]][0] + self.counts[self.right[idx]][0],
-            self.counts[self.left[idx]][1] + self.counts[self.right[idx]][1],
-        )
-        return idx
-
-    def tree(self) -> _Tree:
-        return _Tree(self.feature, self.threshold, self.left, self.right, self.counts, None)
+def _read_tree(nodes: _Nodes, node, parent: int = -1, is_left: bool = True) -> tuple[int, int]:
+    """Append ``node`` and its subtree to ``nodes`` in preorder; returns its counts."""
+    if isinstance(node, list):
+        if (
+            len(node) != 2
+            or not all(type(c) is int and c >= 0 for c in node)  # bools are not counts
+            or sum(node) == 0
+        ):
+            raise CorruptModelError(f"leaf counts must be two non-negative ints, got {node!r}")
+        nodes.alloc((node[0], node[1]), parent, is_left)
+        return node[0], node[1]
+    if not isinstance(node, dict) or set(node) != {"f", "t", "l", "r"}:
+        raise CorruptModelError(f"tree node must be a leaf pair or {{f,t,l,r}}, got {node!r}")
+    f, t = node["f"], node["t"]
+    if type(f) is not int or f < 0:
+        raise CorruptModelError(f"split feature must be a non-negative int, got {f!r}")
+    if not _is_number(t) or not math.isfinite(t):
+        raise CorruptModelError(f"split threshold must be a finite number, got {t!r}")
+    idx = nodes.alloc((0, 0), parent, is_left)
+    nodes.feature[idx] = f
+    nodes.threshold[idx] = float(t)
+    left = _read_tree(nodes, node["l"], idx, True)
+    right = _read_tree(nodes, node["r"], idx, False)
+    # internal counts are the children's sums (informational only)
+    nodes.counts[idx] = (left[0] + right[0], left[1] + right[1])
+    return nodes.counts[idx]
 
 
 def _spec_to_json(spec: FeatureSetSpec) -> dict:
@@ -215,12 +197,12 @@ def load_model(path: str | Path, expect_algo: str | None = None) -> RFModel | SV
             )
         trees = []
         for node in trees_doc:
-            reader = _TreeReader()
+            nodes = _Nodes()
             try:
-                reader.walk(node)
+                _read_tree(nodes, node)
             except RecursionError as exc:  # json.loads may nest deeper than this walk can
                 raise CorruptModelError("tree nests too deeply to read") from exc
-            tree = reader.tree()
+            tree = nodes.finish(None)
             if (tree.feature >= spec.n_features).any():
                 raise CorruptModelError("tree splits on a feature outside the spec")
             trees.append(tree)
@@ -233,15 +215,9 @@ def load_model(path: str | Path, expect_algo: str | None = None) -> RFModel | SV
         oob_error = doc.get("oob_error", float("nan"))
         if not _is_number(oob_error):
             raise CorruptModelError(f"oob_error must be a number, got {oob_error!r}")
-        return RFModel(
-            spec=spec,
-            hyperparams=hp,
-            trees=trees,
-            oob_error=float(oob_error),
-            oob_curve=curve,
-            importances=importances,
-            n_train=n_train,
-        )
+        model = RFModel(spec=spec, hyperparams=hp, trees=trees, n_train=n_train)
+        model._diagnostics = (float(oob_error), curve, importances)  # fills the cache
+        return model
 
     sv = doc.get("support_vectors")
     coefs = doc.get("dual_coefs")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -60,6 +60,12 @@ class SVMHyperParams:
     seed: int = 0  # kept for saved models and callers; the solver does not read it
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in ("max_passes", "seed") and type(value) is not int:
+                raise ValueError(f"{f.name} must be an int, got {value!r}")
+            if isinstance(value, bool):  # C, sigma and tolerance
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
         if self.C <= 0:
             raise ValueError(f"C must be positive, got {self.C}")
         if self.sigma <= 0:

@@ -45,9 +45,10 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.cv_folds < 2:
             raise ValueError(f"cv_folds must be >= 2, got {self.cv_folds}")
-        if self.mtry_grid is not None:
-            if not self.mtry_grid or any(m < 1 for m in self.mtry_grid):
-                raise ValueError("mtry_grid must be non-empty positive integers")
+        if self.mtry_grid is not None and (
+            not self.mtry_grid or any(type(m) is not int or m < 1 for m in self.mtry_grid)
+        ):
+            raise ValueError(f"mtry_grid must be non-empty positive ints, got {self.mtry_grid!r}")
         if not self.sigma_grid or any(s <= 0 for s in self.sigma_grid):
             raise ValueError("sigma_grid must be non-empty positive values")
         if not self.c_grid or any(c <= 0 for c in self.c_grid):

@@ -2,20 +2,26 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from plastiscan import (
+    GridSpec,
     PLASTIC,
     RFHyperParams,
     WATER,
+    grid_search,
     load_model,
     predict_rf,
     predict_rf_batch,
     rf_permutation_importance,
+    run_cell,
     save_model,
     train_rf,
 )
+from plastiscan.classifiers import forest
 from plastiscan.classifiers.forest import RFModel, _Tree, _best_splits
 from plastiscan.dataset import SampleTable
 from plastiscan.errors import (
@@ -85,9 +91,6 @@ def forest_of(trees, n_features=2) -> RFModel:
         spec=spec,
         hyperparams=RFHyperParams(n_trees=len(trees), mtry=1, seed=0),
         trees=trees,
-        oob_error=float("nan"),
-        oob_curve=np.full(len(trees), np.nan),
-        importances=np.zeros(n_features),
         n_train=0,
     )
 
@@ -520,3 +523,45 @@ class TestImportances:
         shorter = SampleTable(tc1_split.train.rows[:-1])
         with pytest.raises(LengthMismatchError):
             rf_permutation_importance(rf_small, shorter)
+
+
+class TestDiagnosticsOnFirstRead:
+    def test_fits_that_only_predict_never_compute_them(
+        self, monkeypatch, tc1_split, plastic_pool, water_pool
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("diagnostics computed for a fit nobody reads")
+
+        monkeypatch.setattr(forest, "_permutation_importance", refuse)
+        monkeypatch.setattr(forest, "_oob_curve", refuse)
+        grid = GridSpec(mtry_grid=(1, 2), cv_folds=2)
+        base = RFHyperParams(n_trees=10, seed=0)
+        found = grid_search(tc1_split.train, band_spec(2), "rf", grid, seed=1, rf_base=base)
+        assert found.best.mtry in (1, 2)
+        cell = run_cell(plastic_pool, water_pool, "Model2", "TC1", "rf", grid,
+                        master_seed=1, rf_base=base)
+        assert cell.error is None
+
+    def test_never_out_of_bag_warns_on_first_read(self):
+        table, _, _ = uniform_table(n=2, n_features=1, seed=0)
+        hp = next(
+            h for h in (RFHyperParams(n_trees=1, seed=s) for s in range(64))
+            if len(set(train_rf(table, band_spec(1), h).trees[0].in_bag.tolist())) == 2
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = train_rf(table, band_spec(1), hp)  # fitting alone does not warn
+        with pytest.warns(UserWarning, match="ever out of bag") as record:
+            assert np.isnan(model.oob_error)
+        assert record[0].filename == __file__
+        assert np.isnan(model.oob_curve).all()
+        np.testing.assert_array_equal(model.importances, [0.0])
+
+    def test_no_stored_values_and_no_records_raises(self, tmp_path):
+        model = forest_of([leaf_tree((5, 0))])
+        for name in ("oob_error", "oob_curve", "importances"):
+            with pytest.raises(MissingOobRecordsError):
+                getattr(model, name)
+        with pytest.raises(MissingOobRecordsError):
+            save_model(model, tmp_path / "rf.json")
+        assert not (tmp_path / "rf.json").exists()

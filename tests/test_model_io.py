@@ -294,6 +294,14 @@ class TestCorruptionErrors:
         with pytest.raises(CorruptModelError, match=f"bad hyperparams: {field} must be an int"):
             load_model(path)
 
+    @pytest.mark.parametrize("field, bad, kind", [
+        ("max_passes", True, "an int"), ("seed", 2.5, "an int"), ("C", True, "a number"),
+    ])
+    def test_svm_hyperparams_must_be_typed(self, svm_small, tmp_path, field, bad, kind):
+        path = tampered(tmp_path, svm_small, lambda d: d["hyperparams"].update({field: bad}))
+        with pytest.raises(CorruptModelError, match=f"bad hyperparams: {field} must be {kind}"):
+            load_model(path)
+
     def test_missing_n_train(self, rf_small, tmp_path):
         path = tampered(tmp_path, rf_small, lambda d: d.pop("n_train"))
         with pytest.raises(CorruptModelError, match="n_train"):

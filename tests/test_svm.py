@@ -99,7 +99,10 @@ class TestHyperParams:
     @pytest.mark.parametrize(
         "kwargs",
         [dict(C=0.0), dict(C=-1.0), dict(sigma=0.0), dict(sigma=-0.09),
-         dict(tolerance=0.0), dict(max_passes=0)],
+         dict(tolerance=0.0), dict(max_passes=0),
+         dict(C=True), dict(sigma=True), dict(tolerance=True),
+         dict(max_passes=True), dict(max_passes=2.0), dict(max_passes=np.int64(5)),
+         dict(seed=2.5), dict(seed=True), dict(seed=None)],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):

@@ -62,7 +62,8 @@ class TestGridSpec:
         "kwargs",
         [dict(cv_folds=1), dict(mtry_grid=()), dict(mtry_grid=(0,)),
          dict(sigma_grid=()), dict(sigma_grid=(0.0,)), dict(sigma_grid=(-0.1,)),
-         dict(c_grid=()), dict(c_grid=(0.0,))],
+         dict(c_grid=()), dict(c_grid=(0.0,)),
+         dict(mtry_grid=(1.5,)), dict(mtry_grid=(True,)), dict(mtry_grid=(np.int64(1),))],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
