@@ -19,7 +19,7 @@ tree; a tree comes out as it would if grown alone.
 Out-of-bag votes give the error curve and fuel permutation importances (mean
 decrease in OOB accuracy), worked out on first read, so that fits which only
 predict never pay for them.  Trees of up to 12 splits predict through a lookup
-table of leaf classes built once per tree (see ``_Tree``); deeper trees walk
+table of plastic votes built once per tree (see ``_Tree``); deeper trees walk
 level by level.
 """
 
@@ -121,8 +121,8 @@ class _Tree:
 
     A tree with m <= _TABLE_MAX_SPLITS split nodes is also compiled, once, to
     a lookup table in the manner of QuickScorer (Lucchese et al., SIGIR 2015):
-    a row's m split outcomes, read as an m-bit code, index the class of the
-    leaf it reaches.
+    a row's m split outcomes, read as an m-bit code, index the plastic vote
+    (1 plastic, 0 water) of the leaf it reaches.
     """
 
     __slots__ = (
@@ -151,9 +151,10 @@ class _Tree:
         """``(splits, table)``, or ``(None, None)`` past the size limit.
 
         Split node k (in node order) gives bit k of the code, counted from
-        the most significant of m: set when the row goes right.  A leaf
-        fixes the bits on its path and leaves the others free, so the leaves
-        fill all 2**m codes between them, with no walk per code.
+        the most significant of m: set when the row goes left.  A leaf fixes
+        the bits on its path and leaves the others free, so the leaves fill
+        all 2**m codes between them, with no walk per code.  The table holds
+        each code's plastic vote as a uint8.
         """
         feature = self.feature.tolist()
         internal = [node for node, f in enumerate(feature) if f >= 0]
@@ -162,32 +163,41 @@ class _Tree:
             return None, None
         bit = {node: k for k, node in enumerate(internal)}
         left, right = self.left.tolist(), self.right.tolist()
-        leaf_class = self.leaf_class.tolist()
-        table = np.empty((2,) * m, dtype=self.leaf_class.dtype)  # axis k = bit k
+        vote = (self.leaf_class == PLASTIC).tolist()
+        table = np.empty((2,) * m, dtype=np.uint8)  # axis k = bit k
         stack = [(0, (slice(None),) * m)]
         while stack:
             node, codes = stack.pop()
             if feature[node] < 0:
-                table[codes] = leaf_class[node]
+                table[codes] = vote[node]
                 continue
             k = bit[node]
-            stack.append((left[node], codes[:k] + (0,) + codes[k + 1:]))
-            stack.append((right[node], codes[:k] + (1,) + codes[k + 1:]))
+            stack.append((left[node], codes[:k] + (1,) + codes[k + 1:]))
+            stack.append((right[node], codes[:k] + (0,) + codes[k + 1:]))
         splits = [(feature[node], self.threshold[node]) for node in internal]
         return splits, table.reshape(-1)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Leaf class of each row of ``X`` (n, n_features).
+        """Leaf class of each row of ``X`` (n, n_features)."""
+        return np.where(self._plastic(X), PLASTIC, WATER)
+
+    def _plastic(self, X: np.ndarray) -> np.ndarray:
+        """Per row of ``X``, nonzero where its leaf is plastic: the table's
+        uint8 vote, or a bool from the walk past the table's size limit.
 
         Each split reads one column, so a Fortran-ordered ``X`` is fastest.
+        The code is built in place: adding it to itself shifts it left, and
+        the split's outcome fills the new low bit.
         """
         if self._table is None:
-            return self._walk(X)
-        code = np.zeros(len(X), dtype=np.uint16)  # holds _TABLE_MAX_SPLITS bits
+            return self._walk(X) == PLASTIC
+        code = np.zeros(len(X), dtype=np.uint8 if len(self._splits) <= 8 else np.uint16)
+        goes_left = np.empty(len(X), dtype=bool)
         for f, t in self._splits:
-            code <<= 1
-            code |= ~(X[:, f] <= t)  # not X > t: NaN goes right, as in the walk
-        return self._table[code]
+            np.add(code, code, out=code)
+            np.less_equal(X[:, f], t, out=goes_left)  # false for NaN: it goes right
+            code |= goes_left
+        return np.take(self._table, code)
 
     def _walk(self, X: np.ndarray) -> np.ndarray:
         cur = np.zeros(len(X), dtype=np.int64)
@@ -577,10 +587,11 @@ def predict_rf_batch(model: RFModel, X: np.ndarray) -> np.ndarray:
     if len(X) == 0:
         raise EmptyInputError("no rows to predict")
     X = np.asfortranarray(X)  # one copy; every split of every tree reads a column
-    plastic_votes = np.zeros(len(X), dtype=np.int64)
+    n_trees = len(model.trees)
+    plastic_votes = np.zeros(len(X), dtype=np.min_scalar_type(n_trees))  # holds n_trees
     for tree in model.trees:
-        plastic_votes += tree.predict(X) == PLASTIC
-    return np.where(2 * plastic_votes >= len(model.trees), PLASTIC, WATER)
+        plastic_votes += tree._plastic(X)
+    return np.where(plastic_votes >= (n_trees + 1) // 2, PLASTIC, WATER)  # 2 * votes >= n_trees
 
 
 def predict_rf(model: RFModel, fv: FeatureVector) -> int:

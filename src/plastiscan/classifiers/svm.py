@@ -6,7 +6,10 @@ with ``sigma`` used directly as the exponential gain; the textbook
 ``exp(-||x - y||^2 / (2 s^2))`` form is the reparameterisation
 ``sigma = 1 / (2 s^2)``.  Internally plastic maps to +1 and water to -1; the
 decision function is ``f(x) = sum_i dual_coef_i k(sv_i, x) + bias`` and a
-pixel is plastic when ``f(x) >= 0``.
+pixel is plastic when ``f(x) >= 0``.  Prediction evaluates it in fixed blocks
+of rows through the same kernel expression as training, so a scene never holds
+a whole pixels x support-vectors kernel and each row's value is the same
+whatever block it falls in.
 
 The solver is SMO with LIBSVM's second-order working-set selection (WSS2;
 Fan, Chen & Lin, JMLR 2005): each iteration updates the maximal violating row
@@ -66,12 +69,10 @@ class SVMHyperParams:
                 raise ValueError(f"{f.name} must be an int, got {value!r}")
             if isinstance(value, bool):  # C, sigma and tolerance
                 raise ValueError(f"{f.name} must be a number, got {value!r}")
-        if self.C <= 0:
-            raise ValueError(f"C must be positive, got {self.C}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        for name in ("C", "sigma", "tolerance"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):  # NaN fails both
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.max_passes < 1:
             raise ValueError(f"max_passes must be >= 1, got {self.max_passes}")
 
@@ -91,8 +92,8 @@ class Scaler:
 
 def rbf_kernel(x, y, sigma: float) -> float:
     """exp(-sigma * ||x - y||^2) for two equal-length vectors."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     xa = np.asarray(x, dtype=np.float64).reshape(-1)
     ya = np.asarray(y, dtype=np.float64).reshape(-1)
     if xa.shape != ya.shape:
@@ -236,10 +237,18 @@ def train_svm(table: SampleTable, spec: FeatureSetSpec, hp: SVMHyperParams) -> S
     )
 
 
+# Rows per kernel block in prediction: a block's kernel matrix and its
+# temporaries stay cache-sized, where one for a whole scene would be tens of MB.
+_BLOCK_ROWS = 1024
+
+
 def _decision_batch(model: SVMModel, X: np.ndarray) -> np.ndarray:
-    Xs = model.scaler.transform(X)
-    K = _rbf_matrix(Xs, model.support_vectors, model.hyperparams.sigma)
-    return K @ model.dual_coefs + model.bias
+    out = np.empty(len(X))
+    for at in range(0, len(X), _BLOCK_ROWS):
+        Xs = model.scaler.transform(X[at:at + _BLOCK_ROWS])
+        K = _rbf_matrix(Xs, model.support_vectors, model.hyperparams.sigma)
+        out[at:at + _BLOCK_ROWS] = K @ model.dual_coefs + model.bias
+    return out
 
 
 def decision_function(model: SVMModel, fv: FeatureVector) -> float:

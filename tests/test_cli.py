@@ -155,6 +155,22 @@ class TestExitCodes:
         assert code == 2
         assert f"{field} must be an int" in err
 
+    @pytest.mark.parametrize("field, bad", [("sigma", float("nan")), ("C", float("inf"))])
+    def test_non_finite_svm_hyperparams_are_data_errors(self, capsys, svm_small, scene_files,
+                                                        tmp_path, field, bad):
+        stack_path, _ = scene_files
+        model_path = tmp_path / "svm.json"
+        save_model(svm_small, model_path)
+        doc = json.loads(model_path.read_text())
+        doc["hyperparams"][field] = bad
+        model_path.write_text(json.dumps(doc))  # writes NaN and Infinity
+        code, _, err = run(capsys, "predict-scene", "--in", str(stack_path),
+                           "--model-file", str(model_path),
+                           "--out", str(tmp_path / "labels.pgm"))
+        assert code == 2
+        assert f"{field} must be finite and positive" in err
+        assert not (tmp_path / "labels.pgm").exists()
+
     def test_bad_percentiles_are_usage_error(self, capsys, scene_files, tmp_path):
         stack_path, _ = scene_files
         code, _, err = run(capsys, "stretch", "--in", str(stack_path),

@@ -34,12 +34,13 @@ from plastiscan import (
 )
 from plastiscan.dataset import TEST_CASES
 from plastiscan.experiment import ALGOS, MODEL_IDS
-from plastiscan.classifiers.svm import SVMHyperParams
+from plastiscan.classifiers.svm import _BLOCK_ROWS, SVMHyperParams
 from plastiscan.errors import MissingBandError
 from plastiscan.metrics import METRIC_KEYS, NotAValue
 from plastiscan.raster import BandStack
 from plastiscan.spectra import MODEL_SPECS, PixelSpectrum, feature_vector
 
+import scene_oracle
 from conftest import band_spec, table_from_features
 
 QUICK_GRID = GridSpec(mtry_grid=(2,), sigma_grid=(0.09,), c_grid=(10.0,), cv_folds=2)
@@ -344,3 +345,35 @@ class TestClassifyScene:
         crop = BandStack(grids=cropped_grids, resolution_m=stack.resolution_m)
         np.testing.assert_array_equal(
             classify_scene(crop, model).labels, full.labels[1:4, 2:4])
+
+
+@pytest.fixture(scope="module")
+def blocky_scene():
+    """48 x 50 cells: 2,400 rows, more than two SVM row blocks, with plastic
+    patches and a lattice of masked (nodata) cells."""
+    stack, _ = gen_scene(
+        SynthConfig(n_plastic=0, n_water=0, seed=21), width=50, height=48,
+        patches=(PatchSpec(row=3, col=4, height=10, width=12, fraction=0.9),
+                 PatchSpec(row=30, col=20, height=8, width=25, fraction=0.5)))
+    keep = np.ones((48, 50), dtype=bool)
+    keep[::7, ::5] = False
+    return apply_mask(stack, MaskGrid(width=50, height=48, keep=keep))
+
+
+class TestClassifySceneMatchesReference:
+    @pytest.mark.parametrize("model_id", MODEL_IDS)
+    def test_labels_byte_identical(self, default_pool, blocky_scene, model_id):
+        spec = MODEL_SPECS[model_id]
+        unbounded = train_rf(default_pool, spec,
+                             RFHyperParams.matrix_profile(mtry=1, seed=1, n_trees=15))
+        assert max(tree.n_leaves for tree in unbounded.trees) > 9  # 16-bit codes too
+        models = (
+            train_rf(default_pool, spec, RFHyperParams.final_profile(spec.n_features, seed=1)),
+            unbounded,
+            train_svm(default_pool, spec, SVMHyperParams(seed=1)),
+        )
+        assert blocky_scene.width * blocky_scene.height > 2 * _BLOCK_ROWS
+        for model in models:
+            labels = classify_scene(blocky_scene, model).labels
+            assert labels.tobytes() == scene_oracle.classify_scene(blocky_scene, model).tobytes()
+            assert set(np.unique(labels).tolist()) == {0, PLASTIC, WATER}

@@ -35,6 +35,7 @@ from plastiscan.errors import (
 from plastiscan.spectra import FeatureVector
 
 import forest_oracle
+import scene_oracle
 from conftest import band_spec, table_from_features
 
 
@@ -83,6 +84,14 @@ def random_tree(m, n_features, seed) -> _Tree:
             threshold[node] = float(rng.choice(TREE_THRESHOLDS))
             left[node], right[node] = (new_id[c] for c in children[old])
     return _Tree(feature, threshold, left, right, counts, in_bag=None)
+
+
+def probe_rows(rng, n=500) -> np.ndarray:
+    """(n, 2) rows drawn from the trees' thresholds, NaN, +-inf and values
+    in between, in C order."""
+    values = np.concatenate(
+        [TREE_THRESHOLDS, [np.nan, np.inf, -np.inf], rng.uniform(-1.5, 1.5, 8)])
+    return rng.choice(values, size=(n, 2))
 
 
 def forest_of(trees, n_features=2) -> RFModel:
@@ -434,6 +443,14 @@ class TestPrediction:
         out = predict_rf_batch(model, np.array([[0.5, 0.5]]))
         assert out.tolist() == [PLASTIC]
 
+    @pytest.mark.parametrize("n_plastic, n_water, expected", [
+        (128, 128, PLASTIC), (127, 128, WATER), (128, 127, PLASTIC), (127, 127, PLASTIC),
+        (0, 256, WATER), (256, 0, PLASTIC), (1, 0, PLASTIC), (0, 1, WATER),
+    ])
+    def test_majority_on_both_sides_of_8_bit_vote_counts(self, n_plastic, n_water, expected):
+        model = forest_of([leaf_tree((1, 0))] * n_plastic + [leaf_tree((0, 1))] * n_water)
+        assert predict_rf_batch(model, np.zeros((3, 2))).tolist() == [expected] * 3
+
     def test_leaf_count_tie_votes_plastic(self):
         assert leaf_tree((3, 3)).leaf_class.tolist() == [PLASTIC]
 
@@ -459,19 +476,30 @@ class TestCompiledTree:
     """A tree's lookup table must label every row as the level walk does."""
 
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("m", [0, 1, 5, 12, 13])
+    @pytest.mark.parametrize("m", [0, 1, 5, 7, 8, 9, 12, 13])  # codes of 8 bits, then 16
     def test_table_matches_walk(self, m, seed):
         tree = random_tree(m, n_features=2, seed=seed)
         assert (tree._table is None) == (m > 12)  # 13 splits fall back to the walk
-        rng = np.random.default_rng(100 + seed)
-        values = np.concatenate(
-            [TREE_THRESHOLDS, [np.nan, np.inf, -np.inf], rng.uniform(-1.5, 1.5, 8)])
-        X = rng.choice(values, size=(500, 2))
+        X = probe_rows(np.random.default_rng(100 + seed))
         expected = tree._walk(X)
         for layout in (X, np.asfortranarray(X)):
             got = tree.predict(layout)
             assert got.dtype == expected.dtype
             np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("n_trees", [1, 2, 10, 255, 256])  # 256 votes need 16 bits
+    def test_forest_vote_matches_walk_majority(self, n_trees):
+        rng = np.random.default_rng(n_trees)
+        sizes = rng.integers(0, 14, size=n_trees)  # tables of every code width, and walks
+        model = forest_of([random_tree(int(m), n_features=2, seed=s)
+                           for s, m in enumerate(sizes)])
+        X = probe_rows(rng)
+        expected = scene_oracle.rf_labels(model, X)
+        if n_trees in (2, 10):
+            votes = sum(tree._walk(X) == PLASTIC for tree in model.trees)
+            assert (2 * votes == n_trees).any()  # some rows tie, and must go to plastic
+        for layout in (X, np.asfortranarray(X)):
+            np.testing.assert_array_equal(predict_rf_batch(model, layout), expected)
 
     def test_nan_goes_right_and_ties_go_left(self):
         tree = _Tree(feature=[0, -1, -1], threshold=[0.5, 0.0, 0.0], left=[1, -1, -1],

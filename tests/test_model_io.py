@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -296,6 +297,8 @@ class TestCorruptionErrors:
 
     @pytest.mark.parametrize("field, bad, kind", [
         ("max_passes", True, "an int"), ("seed", 2.5, "an int"), ("C", True, "a number"),
+        ("sigma", math.nan, "finite and positive"), ("C", math.inf, "finite and positive"),
+        ("tolerance", -math.inf, "finite and positive"),
     ])
     def test_svm_hyperparams_must_be_typed(self, svm_small, tmp_path, field, bad, kind):
         path = tampered(tmp_path, svm_small, lambda d: d["hyperparams"].update({field: bad}))

@@ -18,6 +18,7 @@ from plastiscan import (
     predict_svm_batch,
     train_svm,
 )
+from plastiscan.classifiers import svm
 from plastiscan.classifiers.svm import Scaler, decision_function, rbf_kernel
 from plastiscan.dataset import SampleTable
 from plastiscan.errors import (
@@ -32,6 +33,7 @@ from plastiscan.errors import (
 from plastiscan.spectra import FeatureVector
 
 import qp_oracle
+import scene_oracle
 from conftest import band_spec, table_from_features
 
 
@@ -82,7 +84,7 @@ class TestKernel:
         with pytest.raises(LengthMismatchError):
             rbf_kernel([1.0, 2.0], [1.0], 0.09)
 
-    @pytest.mark.parametrize("sigma", [0.0, -0.09])
+    @pytest.mark.parametrize("sigma", [0.0, -0.09, math.nan, math.inf, -math.inf])
     def test_sigma_must_be_positive(self, sigma):
         with pytest.raises(ValueError, match="sigma"):
             rbf_kernel([1.0], [2.0], sigma)
@@ -102,7 +104,9 @@ class TestHyperParams:
          dict(tolerance=0.0), dict(max_passes=0),
          dict(C=True), dict(sigma=True), dict(tolerance=True),
          dict(max_passes=True), dict(max_passes=2.0), dict(max_passes=np.int64(5)),
-         dict(seed=2.5), dict(seed=True), dict(seed=None)],
+         dict(seed=2.5), dict(seed=True), dict(seed=None),
+         dict(C=math.nan), dict(C=math.inf), dict(sigma=math.nan), dict(sigma=math.inf),
+         dict(sigma=-math.inf), dict(tolerance=math.nan), dict(tolerance=math.inf)],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -317,3 +321,20 @@ class TestPredictionWrappers:
         model, _ = fitted
         with pytest.raises(EmptyInputError):
             predict_svm_batch(model, np.zeros((0, 3)))
+
+
+B = svm._BLOCK_ROWS
+
+
+class TestBlockedDecision:
+    """Decision values are computed in blocks of rows; no row may see which."""
+
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
+    def test_value_does_not_depend_on_block_offset(self, svm_small, n):
+        X = np.random.default_rng(n).uniform(-0.5, 1.0, size=(n, svm_small.spec.n_features))
+        full = svm._decision_batch(svm_small, X).view(np.uint64)
+        reference = scene_oracle.svm_decision(svm_small, X).view(np.uint64)
+        np.testing.assert_array_equal(full, reference)
+        for start in range(n):  # row `start` first, so it lands at another block offset
+            np.testing.assert_array_equal(
+                svm._decision_batch(svm_small, X[start:]).view(np.uint64), full[start:])
