@@ -8,8 +8,11 @@ so training is fully deterministic given the seed.
 
 The trees of a forest grow in lockstep (see ``_grow_forest``).  Each keeps its
 own seeded stream, bootstrap and node order (depth first, or best first under
-``max_leaf_nodes``); at every step each tree draws the features of its next
-node, and one segmented pass scores the nodes of all trees together: one sort
+``max_leaf_nodes``).  One ``integers`` call per tree draws its bootstrap and
+the feature draws of its first nodes, the very numbers that
+``Generator.choice`` would draw node by node (see ``_choice_bounds``).  At
+every step each tree takes the features of its next node, and one segmented
+pass scores the nodes of all trees together: one sort
 by (node and feature, value), cumulative plastic counts, the Gini decrease of
 every cut, and the first maximum per node.  This is the presorted column
 scan of XGBoost's exact greedy split finding (Chen & Guestrin, KDD 2016,
@@ -398,26 +401,82 @@ def _best_first(nodes: _Nodes, rows, counts, hp: RFHyperParams, draw):
 _VALUES_PER_CALL = 1 << 13
 
 
+# Nodes whose feature draws each tree makes up front, in the same call as its
+# bootstrap.  A tree that needs more refills from its own stream; nothing else
+# reads that stream after growth, so draws left unused change no tree.
+_DRAW_BATCH = 16
+
+
+def _choice_bounds(n_features: int, mtry: int, k: int) -> np.ndarray:
+    """Exclusive upper bounds of the bounded integers that ``k`` successive
+    ``Generator.choice(n_features, mtry, replace=False)`` calls draw.
+
+    For populations of at most 10,000 (a feature set has at most 14 members)
+    NumPy runs Floyd's algorithm: ``mtry`` draws below ``n_features - mtry +
+    1 ... n_features``, then a Fisher-Yates shuffle of the picks with ``mtry
+    - 1`` draws below ``mtry ... 2``.
+    ``Generator.integers(0, bounds)`` makes the same draws in the same order.
+    """
+    floyd = np.arange(n_features - mtry + 1, n_features + 1)
+    shuffle = np.arange(mtry, 1, -1)
+    return np.tile(np.concatenate([floyd, shuffle]), k)
+
+
+def _sorted_choices(draws: np.ndarray, n_features: int, mtry: int) -> np.ndarray:
+    """The sorted feature picks of the draws that :func:`_choice_bounds`
+    describes, shaped ``(..., k, mtry)`` for ``draws`` of shape ``(..., k * (2
+    mtry - 1))``: each is ``np.sort`` of the ``choice`` call it stands for.
+
+    Floyd's step c draws ``v`` in ``[0, n_features - mtry + c]`` and takes
+    ``v`` unless an earlier step took it, else the bound itself, which no
+    earlier step can have taken.  The sort discards the shuffle's order, so
+    its draws are spent and otherwise ignored.
+    """
+    lead = draws.shape[:-1]
+    picks = draws.reshape(-1, 2 * mtry - 1)[:, :mtry].copy()
+    for c in range(1, mtry):
+        taken = (picks[:, c, None] == picks[:, :c]).any(axis=1)
+        picks[taken, c] = n_features - mtry + c
+    picks.sort(axis=1)
+    return picks.reshape(*lead, -1, mtry)
+
+
+def _feature_draws(first: np.ndarray, rng, bounds: np.ndarray, n_features: int, mtry: int):
+    """A tree's sorted feature draws, one node at a time: its first batch,
+    then batches drawn from its own stream as it needs them."""
+    yield from first
+    while True:
+        yield from _sorted_choices(rng.integers(0, bounds), n_features, mtry)
+
+
 def _grow_forest(X, is_plastic, hp: RFHyperParams) -> list[_Tree]:
     """Grow all trees of a forest in lockstep.
 
-    Each tree keeps its own seeded stream, bootstrap and node order.  At
-    every step each tree with work left draws the features of its next
-    node(s) from its own stream, and :func:`_best_splits` scores the nodes
-    of all trees together, so each tree is the one it would be if grown
-    alone.
+    Each tree keeps its own seeded stream, bootstrap and node order.  One
+    ``integers`` call per tree draws its bootstrap and the features of its
+    first :data:`_DRAW_BATCH` nodes, exactly as ``integers(0, n, size=n)``
+    and as many sorted ``choice`` calls would; the draws of all trees are
+    turned into feature picks together.  At every step each tree with work
+    left takes the features of its next node(s), and :func:`_best_splits`
+    scores the nodes of all trees together, so each tree is the one it
+    would be if grown alone.
     """
     n, n_features = X.shape
     mtry = min(hp.mtry, n_features)
     grow = _depth_first if hp.max_leaf_nodes is None else _best_first
+    bounds = np.concatenate([np.full(n, n), _choice_bounds(n_features, mtry, _DRAW_BATCH)])
+    rngs = [seeded_rng(hp.seed, "tree", t) for t in range(hp.n_trees)]
+    draws = np.empty((hp.n_trees, bounds.size), dtype=np.int64)
+    for t, rng in enumerate(rngs):
+        draws[t] = rng.integers(0, bounds)
+    in_bags = draws[:, :n]
+    firsts = _sorted_choices(draws[:, n:], n_features, mtry)
+    n_plastics = is_plastic[in_bags].sum(axis=1).tolist()
     trees, waiting = [], []
-    for t in range(hp.n_trees):
-        rng = seeded_rng(hp.seed, "tree", t)
-        in_bag = rng.integers(0, n, size=n)
-        n_plastic = int(is_plastic[in_bag].sum())
+    for rng, in_bag, first, n_plastic in zip(rngs, in_bags, firsts, n_plastics):
         nodes = _Nodes()
         trees.append((nodes, in_bag))
-        draw = lambda rng=rng: np.sort(rng.choice(n_features, size=mtry, replace=False))
+        draw = _feature_draws(first, rng, bounds[n:], n_features, mtry).__next__
         waiting.append((grow(nodes, in_bag, (n_plastic, n - n_plastic), hp, draw), None))
     Xt = np.ascontiguousarray(X.T)
     ranks = np.array([np.unique(column, return_inverse=True)[1] for column in Xt])

@@ -137,31 +137,53 @@ def _solve(K: np.ndarray, y: np.ndarray, hp: SVMHyperParams) -> np.ndarray:
     pairs it with the ``j`` in I_low of largest second-order gain, and moves
     ``alpha_i`` by ``+y_i t`` and ``alpha_j`` by ``-y_j t``.  It stops when the
     pair gap ``max F[I_up] - min F[I_low]`` is below ``hp.tolerance``.
+
+    An iteration is a fixed run of whole-array operations into buffers made
+    once.  The sets are kept as offsets added to ``F`` (0 inside, -inf
+    outside I_up, +inf outside I_low), and only the two rows an iteration
+    moves are tested again.  ``alpha`` is a list: it is only ever read and
+    written one entry at a time.
     """
     C, n = float(hp.C), len(y)
     limit = hp.max_passes * n
-    pos = y > 0
+    pos, sign = (y > 0).tolist(), y.tolist()
     diag = np.diag(K)
-    alpha = np.zeros(n)
+    alpha = [0.0] * n
     F = y.copy()  # grad = -1 at alpha = 0
+    off_up = np.where(y > 0, 0.0, -np.inf)  # alpha = 0: I_up holds y > 0, I_low y < 0
+    off_low = np.where(y > 0, np.inf, 0.0)
+    score, b, a, work = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    skip = np.empty(n, dtype=bool)
     for it in range(limit + 1):
-        up = np.where(pos, alpha < C, alpha > 0.0)
-        low = np.where(pos, alpha > 0.0, alpha < C)
-        i = int(np.argmax(np.where(up, F, -np.inf)))
-        gap = F[i] - F[low].min()
+        i = int(np.add(F, off_up, out=score).argmax())
+        gap = F[i] - np.add(F, off_low, out=work).min()
         if gap < hp.tolerance:
-            return alpha
+            return np.array(alpha)
         if it == limit:
             break
-        b = F[i] - F
-        a = np.maximum(diag[i] + diag - 2.0 * K[i], 1e-12)
-        j = int(np.argmin(np.where(low & (b > 0.0), -b * b / a, np.inf)))
+        K_i = K[i]
+        np.subtract(F[i], F, out=b)
+        np.add(diag[i], diag, out=a)  # a = max(diag_i + diag - 2 K_i, 1e-12)
+        np.subtract(a, np.multiply(K_i, 2.0, out=work), out=a)
+        np.maximum(a, 1e-12, out=a)
+        np.negative(b, out=score)  # -b * b / a over the rows of I_low with b > 0
+        np.multiply(score, b, out=score)
+        np.divide(score, a, out=score)
+        np.add(score, off_low, out=score)
+        np.copyto(score, np.inf, where=np.less_equal(b, 0.0, out=skip))
+        j = int(score.argmin())
         room_i = C - alpha[i] if pos[i] else alpha[i]
         room_j = alpha[j] if pos[j] else C - alpha[j]
-        t = min(b[j] / a[j], room_i, room_j)
-        alpha[i] = (C if pos[i] else 0.0) if t == room_i else alpha[i] + y[i] * t
-        alpha[j] = (0.0 if pos[j] else C) if t == room_j else alpha[j] - y[j] * t
-        F -= t * (K[i] - K[j])  # K is exactly symmetric: row == column
+        t = min(float(b[j] / a[j]), room_i, room_j)
+        alpha[i] = (C if pos[i] else 0.0) if t == room_i else alpha[i] + sign[i] * t
+        alpha[j] = (0.0 if pos[j] else C) if t == room_j else alpha[j] - sign[j] * t
+        for k in (i, j):
+            in_up = alpha[k] < C if pos[k] else alpha[k] > 0.0
+            in_low = alpha[k] > 0.0 if pos[k] else alpha[k] < C
+            off_up[k] = 0.0 if in_up else -np.inf
+            off_low[k] = 0.0 if in_low else np.inf
+        # t * (K_i - K_j); K is exactly symmetric: row == column
+        F -= np.multiply(np.subtract(K_i, K[j], out=work), t, out=work)
     raise ConvergenceError(
         f"SMO stopped after {limit} iterations (max_passes {hp.max_passes} "
         f"x n {n}) with KKT gap {gap:.3g} >= tolerance {hp.tolerance:g}"

@@ -8,6 +8,7 @@ simpler model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Literal, Mapping
 
@@ -43,16 +44,20 @@ class GridSpec:
     cv_folds: int = 5
 
     def __post_init__(self) -> None:
-        if self.cv_folds < 2:
-            raise ValueError(f"cv_folds must be >= 2, got {self.cv_folds}")
+        if type(self.cv_folds) is not int or self.cv_folds < 2:
+            raise ValueError(f"cv_folds must be an int >= 2, got {self.cv_folds!r}")
         if self.mtry_grid is not None and (
             not self.mtry_grid or any(type(m) is not int or m < 1 for m in self.mtry_grid)
         ):
             raise ValueError(f"mtry_grid must be non-empty positive ints, got {self.mtry_grid!r}")
-        if not self.sigma_grid or any(s <= 0 for s in self.sigma_grid):
-            raise ValueError("sigma_grid must be non-empty positive values")
-        if not self.c_grid or any(c <= 0 for c in self.c_grid):
-            raise ValueError("c_grid must be non-empty positive values")
+        for name in ("sigma_grid", "c_grid"):
+            values = getattr(self, name)
+            if not values or any(  # NaN fails both tests
+                isinstance(v, bool) or not (math.isfinite(v) and v > 0) for v in values
+            ):
+                raise ValueError(
+                    f"{name} must be non-empty finite positive numbers, got {values!r}"
+                )
 
 
 @dataclass(frozen=True)

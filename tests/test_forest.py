@@ -32,6 +32,7 @@ from plastiscan.errors import (
     SingleClassError,
     SpecMismatchError,
 )
+from plastiscan.rng import seeded_rng
 from plastiscan.spectra import FeatureVector
 
 import forest_oracle
@@ -347,6 +348,42 @@ class TestLockstepGrowth:
         model = assert_trees_match_oracle(table_from_features(X, y), 3, hp)
         sizes = [len(tree.feature) for tree in model.trees]
         assert min(sizes) == 1 and max(sizes) >= 5
+
+    @pytest.mark.parametrize("mtry", [1, 2])
+    def test_trees_that_use_up_their_first_feature_draws(self, mtry):
+        # Random labels on 240 rows: unbounded trees split far more often than
+        # the nodes covered by the draws made with the bootstrap.
+        table, _, _ = uniform_table(n=240, n_features=4, seed=5 + mtry)
+        hp = RFHyperParams(n_trees=6, mtry=mtry, seed=mtry)
+        model = assert_trees_match_oracle(table, 4, hp)
+        splits = [int((tree.feature >= 0).sum()) for tree in model.trees]
+        assert min(splits) > forest._DRAW_BATCH, splits
+
+
+class TestBulkFeatureDraws:
+    """One ``integers`` call draws a tree's bootstrap and the features of its
+    first nodes exactly as the bootstrap call and successive sorted
+    ``Generator.choice`` calls would, and leaves the stream where they do."""
+
+    @pytest.mark.parametrize("n_features", range(1, 13))
+    def test_equals_sorted_choice_calls(self, n_features):
+        n, k, streams = 25, 5, 20
+        for mtry in range(1, n_features + 1):
+            bounds = np.concatenate([np.full(n, n), forest._choice_bounds(n_features, mtry, k)])
+            bulk_draws, expected = [], []
+            for stream in range(streams):
+                bulk = seeded_rng(stream, "draws", n_features, mtry)
+                ref = seeded_rng(stream, "draws", n_features, mtry)
+                draws = bulk.integers(0, bounds)
+                np.testing.assert_array_equal(draws[:n], ref.integers(0, n, size=n))
+                bulk_draws.append(draws[n:])
+                expected.append([np.sort(ref.choice(n_features, size=mtry, replace=False))
+                                 for _ in range(k)])
+                assert bulk.integers(1 << 62) == ref.integers(1 << 62)
+            # all streams' draws at once, as _grow_forest turns them into picks
+            picks = forest._sorted_choices(np.stack(bulk_draws), n_features, mtry)
+            assert picks.shape == (streams, k, mtry)
+            np.testing.assert_array_equal(picks, np.array(expected))
 
 
 def search(X, y, features, min_leaf=1):

@@ -34,6 +34,7 @@ from plastiscan.spectra import FeatureVector
 
 import qp_oracle
 import scene_oracle
+import svm_oracle
 from conftest import band_spec, table_from_features
 
 
@@ -293,6 +294,80 @@ class TestOracleAgreement:
         )
         oracle_pred = np.where(oracle_f >= 0.0, PLASTIC, WATER)
         np.testing.assert_array_equal(predict_svm_batch(model, probes), oracle_pred)
+
+
+def solver_inputs(X, labels, sigma):
+    """The symmetric kernel and +-1 labels that train_svm hands the solver."""
+    X = np.asarray(X, dtype=np.float64)
+    K = svm._rbf_matrix(X, X, sigma)
+    return (K + K.T) / 2.0, np.where(np.asarray(labels) == PLASTIC, 1.0, -1.0)
+
+
+def solve_both(X, labels, hp):
+    """svm._solve's alphas, required equal bit for bit to the reference's."""
+    K, y = solver_inputs(X, labels, hp.sigma)
+    got, want = svm._solve(K, y, hp), svm_oracle.solve(K, y, hp)
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    return got
+
+
+class TestSolverMatchesReference:
+    """The solver updates only what each iteration moves, yet every alpha is
+    the one the whole-array reference in svm_oracle computes."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n", [7, 24, 61])
+    def test_random_problems(self, seed, n):
+        X, y = random_problem(seed, n=n, d=1 + seed % 3)
+        for C, sigma, tolerance in ((0.5, 0.09, 1e-3), (10.0, 0.7, 1e-3), (4.0, 2.0, 1e-9)):
+            solve_both(X, y, SVMHyperParams(C=C, sigma=sigma, tolerance=tolerance,
+                                            max_passes=100_000))
+
+    def test_rows_at_bound_C(self):
+        X = np.random.default_rng(3).uniform(size=(40, 2))
+        y = np.array([PLASTIC, WATER] * 20)  # labels unrelated to X
+        alpha = solve_both(X, y, SVMHyperParams(C=0.5, sigma=0.7, tolerance=1e-9,
+                                                max_passes=100_000))
+        assert (alpha == 0.5).sum() >= 10
+
+    def test_all_rows_free(self):
+        X = np.arange(10.0)[:, None]
+        y = np.array([PLASTIC, WATER] * 5)
+        alpha = solve_both(X, y, SVMHyperParams(C=100.0, sigma=2.0, tolerance=1e-9,
+                                                max_passes=100_000))
+        assert ((alpha > 0.0) & (alpha < 100.0)).all()
+
+    @pytest.mark.parametrize("C", [0.5, 10.0])
+    def test_two_rows(self, C):
+        alpha = solve_both([[0.0, 0.0], [0.3, 1.0]], [PLASTIC, WATER], hp_tight(C=C))
+        assert alpha[0] == alpha[1] > 0.0
+
+    def test_duplicate_rows(self):
+        # equal rows with equal labels, and one row twice with both labels:
+        # the curvature of such a pair is 0 and is clamped
+        X, y = random_problem(4, n=12, d=2)
+        X = np.concatenate([X, X[:4], X[5:6]])
+        y = np.concatenate([y, y[:4], [WATER if y[5] == PLASTIC else PLASTIC]])
+        for C in (1.0, 10.0):
+            solve_both(X, y, hp_tight(C=C))
+
+    def test_stops_at_iteration_zero(self):
+        # at alpha = 0 the gap is 1 - (-1) = 2
+        X, y = random_problem(5)
+        alpha = solve_both(X, y, SVMHyperParams(tolerance=2.5))
+        assert not alpha.any()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_convergence_error(self, seed):
+        X, y = random_problem(seed, n=16)
+        hp = SVMHyperParams(C=10.0, sigma=0.09, tolerance=1e-12, max_passes=1)
+        K, y_pm = solver_inputs(X, y, hp.sigma)
+        with pytest.raises(ConvergenceError) as got:
+            svm._solve(K, y_pm, hp)
+        with pytest.raises(ConvergenceError) as want:
+            svm_oracle.solve(K, y_pm, hp)
+        assert str(got.value) == str(want.value)
 
 
 @pytest.fixture(scope="module")

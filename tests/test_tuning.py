@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -63,7 +65,11 @@ class TestGridSpec:
         [dict(cv_folds=1), dict(mtry_grid=()), dict(mtry_grid=(0,)),
          dict(sigma_grid=()), dict(sigma_grid=(0.0,)), dict(sigma_grid=(-0.1,)),
          dict(c_grid=()), dict(c_grid=(0.0,)),
-         dict(mtry_grid=(1.5,)), dict(mtry_grid=(True,)), dict(mtry_grid=(np.int64(1),))],
+         dict(mtry_grid=(1.5,)), dict(mtry_grid=(True,)), dict(mtry_grid=(np.int64(1),)),
+         dict(cv_folds=2.5), dict(cv_folds=2.0), dict(cv_folds=True), dict(cv_folds=np.int64(3)),
+         dict(sigma_grid=(math.nan,)), dict(sigma_grid=(0.09, math.inf)),
+         dict(sigma_grid=(True,)), dict(c_grid=(math.inf,)), dict(c_grid=(2.0, math.nan)),
+         dict(c_grid=(-math.inf,)), dict(c_grid=(True,))],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
