@@ -33,6 +33,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -332,8 +333,46 @@ class _Nodes:
         self.feature[node] = split.feature
         self.threshold[node] = split.threshold
 
-    def finish(self, in_bag) -> _Tree:
-        return _Tree(self.feature, self.threshold, self.left, self.right, self.counts, in_bag)
+    def to_preorder(self) -> None:
+        """Renumber the nodes in preorder: a node, its left subtree, then its
+        right subtree, the order in which a model file lists them."""
+        order, stack = [], [0]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            if self.left[node] >= 0:
+                stack += (self.right[node], self.left[node])
+        rank = [0] * len(order)
+        for new, old in enumerate(order):
+            rank[old] = new
+        self.feature = [self.feature[i] for i in order]
+        self.threshold = [self.threshold[i] for i in order]
+        self.counts = [self.counts[i] for i in order]
+        self.left, self.right = (
+            [-1 if child[i] < 0 else rank[child[i]] for i in order]
+            for child in (self.left, self.right)
+        )
+
+
+def _forest_trees(feature, threshold, left, right, counts, sizes, in_bags) -> list[_Tree]:
+    """The trees of a forest from its node lists, concatenated tree by tree.
+
+    Tree t holds the next ``sizes[t]`` nodes, in preorder, with ``left`` and
+    ``right`` counted from its root; ``counts`` gives two ints per node.  One
+    array is made per field for the whole forest, and each tree gets its
+    slices of them.  Trained and loaded trees are both made here, so a tree
+    read back from its file equals the one that was grown, field by field.
+    """
+    feature = np.asarray(feature, dtype=np.int64)
+    threshold = np.asarray(threshold, dtype=np.float64)
+    left = np.asarray(left, dtype=np.int64)
+    right = np.asarray(right, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64).reshape(-1, 2)
+    ends = np.cumsum(sizes).tolist()
+    return [
+        _Tree(feature[lo:hi], threshold[lo:hi], left[lo:hi], right[lo:hi], counts[lo:hi], in_bag)
+        for lo, hi, in_bag in zip([0] + ends[:-1], ends, in_bags)
+    ]
 
 
 def _splittable(hp: RFHyperParams, rows, counts, depth: int) -> bool:
@@ -459,7 +498,8 @@ def _grow_forest(X, is_plastic, hp: RFHyperParams) -> list[_Tree]:
     turned into feature picks together.  At every step each tree with work
     left takes the features of its next node(s), and :func:`_best_splits`
     scores the nodes of all trees together, so each tree is the one it
-    would be if grown alone.
+    would be if grown alone.  The trees come out with their nodes in
+    preorder, through :func:`_forest_trees`.
     """
     n, n_features = X.shape
     mtry = min(hp.mtry, n_features)
@@ -501,7 +541,15 @@ def _grow_forest(X, is_plastic, hp: RFHyperParams) -> list[_Tree]:
         for tree, k in asked_by:
             waiting.append((tree, splits[at:at + k]))
             at += k
-    return [nodes.finish(in_bag) for nodes, in_bag in trees]
+    if hp.max_leaf_nodes is not None:  # best-first growth numbers nodes as they split
+        for nodes, _ in trees:
+            nodes.to_preorder()
+    return _forest_trees(
+        *(list(chain.from_iterable(getattr(nodes, name) for nodes, _ in trees))
+          for name in ("feature", "threshold", "left", "right", "counts")),
+        [len(nodes.feature) for nodes, _ in trees],
+        [in_bag for _, in_bag in trees],
+    )
 
 
 @dataclass(eq=False)

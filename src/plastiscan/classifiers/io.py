@@ -4,6 +4,12 @@ Floats serialise through Python's shortest round-trip repr, so a saved model
 predicts bit-for-bit identically after loading.  A forest's file holds its
 OOB error, curve and importances but not the bootstrap records or training
 matrix, so ``rf_permutation_importance`` needs the freshly trained model.
+
+Loading a forest reads all its trees in one preorder pass onto forest-level
+node lists, then makes one array per field for the whole forest; each tree
+holds slices of them.  Trained trees are assembled by the same function
+(``forest._forest_trees``), with their nodes in the same preorder, so a tree
+read back from its file equals the tree that was grown, field by field.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 
 from ..errors import CorruptModelError, ModelSchemaError
 from ..spectra import FeatureSetSpec, MODEL_SPECS
-from .forest import RFHyperParams, RFModel, _Nodes, _Tree
+from .forest import RFHyperParams, RFModel, _Tree, _forest_trees
 from .svm import Scaler, SVMHyperParams, SVMModel
 
 __all__ = ["SCHEMA_VERSION", "save_model", "load_model"]
@@ -52,32 +58,85 @@ def _tree_to_json(tree: _Tree, node: int = 0):
     }
 
 
-def _read_tree(nodes: _Nodes, node, parent: int = -1, is_left: bool = True) -> tuple[int, int]:
-    """Append ``node`` and its subtree to ``nodes`` in preorder; returns its counts."""
-    if isinstance(node, list):
-        if (
-            len(node) != 2
-            or not all(type(c) is int and c >= 0 for c in node)  # bools are not counts
-            or sum(node) == 0
-        ):
-            raise CorruptModelError(f"leaf counts must be two non-negative ints, got {node!r}")
-        nodes.alloc((node[0], node[1]), parent, is_left)
-        return node[0], node[1]
-    if not isinstance(node, dict) or set(node) != {"f", "t", "l", "r"}:
-        raise CorruptModelError(f"tree node must be a leaf pair or {{f,t,l,r}}, got {node!r}")
-    f, t = node["f"], node["t"]
-    if type(f) is not int or f < 0:
-        raise CorruptModelError(f"split feature must be a non-negative int, got {f!r}")
-    if not _is_number(t) or not math.isfinite(t):
-        raise CorruptModelError(f"split threshold must be a finite number, got {t!r}")
-    idx = nodes.alloc((0, 0), parent, is_left)
-    nodes.feature[idx] = f
-    nodes.threshold[idx] = float(t)
-    left = _read_tree(nodes, node["l"], idx, True)
-    right = _read_tree(nodes, node["r"], idx, False)
-    # internal counts are the children's sums (informational only)
-    nodes.counts[idx] = (left[0] + right[0], left[1] + right[1])
-    return nodes.counts[idx]
+_SPLIT_KEYS = frozenset(("f", "t", "l", "r"))
+
+
+def _read_forest(trees_doc: list, n_features: int) -> list[_Tree]:
+    """The trees of ``trees_doc``, read in one preorder pass over all of them.
+
+    Every node goes onto forest-level lists: a leaf with its counts, a split
+    with zero counts and its right child as a forest-wide index, known once
+    the walk reaches it (the left child is the next node).  Nodes are checked
+    in file order, and a tree's split features against the spec once all its
+    nodes have passed.
+    """
+    feature: list[int] = []
+    threshold: list[float] = []
+    right: list[int] = []
+    counts: list[int] = []  # two per node
+    sizes: list[int] = []
+    for t, root in enumerate(trees_doc):
+        start = len(feature)
+        outside = None  # the first split feature past the spec
+        stack = [(root, -1)]  # (node, the split it is the right child of)
+        while stack:
+            node, parent = stack.pop()
+            if parent >= 0:
+                right[parent] = len(feature)
+            if isinstance(node, list):
+                if not (
+                    len(node) == 2
+                    and type(node[0]) is int and type(node[1]) is int  # bools are not counts
+                    and node[0] >= 0 and node[1] >= 0 and node[0] + node[1] > 0
+                ):
+                    raise CorruptModelError(
+                        f"tree {t}: leaf counts must be two non-negative ints, got {node!r}")
+                feature.append(-1)
+                threshold.append(0.0)
+                right.append(-1)
+                counts += node
+                continue
+            if not isinstance(node, dict) or node.keys() != _SPLIT_KEYS:
+                raise CorruptModelError(
+                    f"tree {t}: tree node must be a leaf pair or {{f,t,l,r}}, got {node!r}")
+            f, thr = node["f"], node["t"]
+            if type(f) is not int or f < 0:
+                raise CorruptModelError(
+                    f"tree {t}: split feature must be a non-negative int, got {f!r}")
+            if not _is_number(thr) or not math.isfinite(thr):
+                raise CorruptModelError(
+                    f"tree {t}: split threshold must be a finite number, got {thr!r}")
+            if f >= n_features and outside is None:
+                outside = f
+            stack.append((node["r"], len(feature)))
+            stack.append((node["l"], -1))
+            feature.append(f)
+            threshold.append(float(thr))
+            right.append(-1)
+            counts += (0, 0)
+        if outside is not None:
+            raise CorruptModelError(
+                f"tree {t}: split feature {outside} is outside the spec's {n_features} features")
+        sizes.append(len(feature) - start)
+
+    feature = np.array(feature, dtype=np.int64)
+    right = np.array(right, dtype=np.int64)
+    is_split = feature >= 0
+    base = np.repeat(np.cumsum(sizes) - sizes, sizes)  # each node's tree's first node
+    index = np.arange(feature.size)
+    # A split's counts are its subtree's leaf sums (informational only).  In
+    # preorder the subtree is the run of nodes up to its last leaf, which
+    # following right children reaches; pointer doubling follows them all.
+    last = np.where(is_split, right, index)
+    while not np.array_equal(jumped := last[last], last):
+        last = jumped
+    cum = np.zeros((feature.size + 1, 2), dtype=np.int64)
+    np.cumsum(np.array(counts, dtype=np.int64).reshape(-1, 2), axis=0, out=cum[1:])
+    return _forest_trees(
+        feature, threshold,
+        np.where(is_split, index - base + 1, -1), np.where(is_split, right - base, -1),
+        cum[last + 1] - cum[index], sizes, [None] * len(sizes),
+    )
 
 
 def _spec_to_json(spec: FeatureSetSpec) -> dict:
@@ -195,17 +254,7 @@ def load_model(path: str | Path, expect_algo: str | None = None) -> RFModel | SV
             raise CorruptModelError(
                 f"hyperparams say {hp.n_trees} trees but {len(trees_doc)} are present"
             )
-        trees = []
-        for node in trees_doc:
-            nodes = _Nodes()
-            try:
-                _read_tree(nodes, node)
-            except RecursionError as exc:  # json.loads may nest deeper than this walk can
-                raise CorruptModelError("tree nests too deeply to read") from exc
-            tree = nodes.finish(None)
-            if (tree.feature >= spec.n_features).any():
-                raise CorruptModelError("tree splits on a feature outside the spec")
-            trees.append(tree)
+        trees = _read_forest(trees_doc, spec.n_features)
         curve = _numbers(doc, "oob_curve")
         if curve.size != len(trees):
             raise CorruptModelError("oob_curve length must equal the tree count")

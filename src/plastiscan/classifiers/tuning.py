@@ -94,8 +94,8 @@ def _cv_accuracy(folds, spec, fit, predict) -> tuple[float, ...]:
     accs = []
     for held in range(len(folds)):
         train_rows = [s for f, fold in enumerate(folds) if f != held for s in fold]
-        model = fit(SampleTable(tuple(train_rows)), held)
-        X, y = feature_matrix(SampleTable(tuple(folds[held])), spec)
+        model = fit(SampleTable._of_checked(tuple(train_rows)), held)
+        X, y = feature_matrix(SampleTable._of_checked(tuple(folds[held])), spec)
         accs.append(float(np.mean(predict(model, X) == y)))
     return tuple(accs)
 

@@ -189,16 +189,42 @@ _KINDS: dict[str, _Kind] = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser(only: str | None = None) -> _Parser:
+    """The full parser, or with ``only`` a parser that knows just that one
+    subcommand.  For an argv whose subcommand is ``only`` the two parse
+    alike, with the same help, usage and error text; building one
+    subparser's options is a fraction of the cost of building all ten."""
     parser = _Parser(prog="plastiscan", description=__doc__)
     parser.add_argument("--version", action="version", version=f"plastiscan {__version__}")
     parser.add_argument("--config", help="JSON file of option defaults for the subcommand")
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for command, options in _OPTIONS.items():
+    for command in _OPTIONS if only is None else (only,):
         p = sub.add_parser(command, help=_COMMAND_HELP[command])
-        for name in options:
+        for name in _OPTIONS[command]:
             p.add_argument("--" + name.replace("_", "-"), dest=name, **_KINDS.get(name, _TEXT)[0])
     return parser
+
+
+def _find_command(argv: list[str] | None) -> str | None:
+    """The subcommand that ``argv`` runs, or None when the full parser must
+    run: no or an unknown command, help or version asked for before it, or a
+    top-level error.
+
+    argparse itself finds it, over the option strings of the full parser's
+    top level (so abbreviations resolve alike), with the command a plain
+    positional that takes, like the full parser's subparsers action, the
+    command and the rest of ``argv`` unparsed.
+    """
+    finder = _Parser(prog="plastiscan", add_help=False)
+    finder.add_argument("-h", "--help", "--version", dest="full", action="store_true")
+    finder.add_argument("--config")
+    finder.add_argument("command", nargs=argparse.PARSER)
+    try:
+        args = finder.parse_args(argv)
+    except _UsageError:
+        return None
+    command = args.command[0]
+    return None if args.full or command not in _OPTIONS else command
 
 
 def _check_config_value(key: str, name: str, value: object) -> None:
@@ -574,7 +600,7 @@ _HANDLERS: dict[str, Callable[[RunConfig], None]] = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser = _build_parser(_find_command(argv))
     try:
         args = parser.parse_args(argv)
         if not args.command:

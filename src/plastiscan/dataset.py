@@ -155,12 +155,20 @@ class SampleTable:
     def count(self, label: int) -> int:
         return sum(1 for s in self.rows if s.label == label)
 
+    @classmethod
+    def _of_checked(cls, rows: tuple[Sample, ...]) -> "SampleTable":
+        """A table of rows cut from checked tables without repeats, whose keys
+        are unique already: made without checking them again."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "rows", rows)
+        return table
+
     def only(self, label: int) -> "SampleTable":
-        return SampleTable(tuple(s for s in self.rows if s.label == label))
+        return SampleTable._of_checked(tuple(s for s in self.rows if s.label == label))
 
     def canonical(self) -> "SampleTable":
         """Rows sorted by (site, date, row, col); basis for seeded draws."""
-        return SampleTable(tuple(sorted(self.rows, key=Sample.sort_key)))
+        return SampleTable._of_checked(tuple(sorted(self.rows, key=Sample.sort_key)))
 
 
 # --- CSV I/O ---------------------------------------------------------------
@@ -366,8 +374,8 @@ def split(table: SampleTable, train_fraction: float, seed: int) -> SplitResult:
         train += [rows[i] for i in order[:n_train]]
         test += [rows[i] for i in order[n_train:]]
     return SplitResult(
-        train=SampleTable(tuple(train)),
-        test=SampleTable(tuple(test)),
+        train=SampleTable._of_checked(tuple(train)),
+        test=SampleTable._of_checked(tuple(test)),
         seed=seed,
     )
 

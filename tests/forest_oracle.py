@@ -4,8 +4,8 @@ The one-tree-at-a-time, one-node-at-a-time grower the package used before
 it grew the trees of a forest in lockstep: ``_best_feature_split``,
 ``_find_split`` and ``_TreeBuilder`` are kept as they were.  ``grow_forest``
 repeats ``train_rf``'s data preparation and per-tree seeding and returns each
-tree's node arrays, so tests can require the package's trees to match these
-bit for bit.
+tree's node arrays, numbered in preorder, so tests can require the package's
+trees to match these bit for bit.
 """
 
 from __future__ import annotations
@@ -72,6 +72,13 @@ def _find_split(X, is_plastic, idx, hp: RFHyperParams, n_features: int, rng):
         if best is None or decrease > best[0]:
             best = (decrease, int(f), threshold)
     return best
+
+
+def _preorder(left, right, node: int) -> list[int]:
+    """The nodes of the subtree at ``node``: itself, its left subtree, its right."""
+    if left[node] < 0:
+        return [node]
+    return [node] + _preorder(left, right, left[node]) + _preorder(left, right, right[node])
 
 
 class _TreeBuilder:
@@ -167,7 +174,17 @@ class _TreeBuilder:
             leaves += 1
 
     def finish(self, in_bag) -> dict[str, np.ndarray]:
-        values = (self.feature, self.threshold, self.left, self.right, self.counts, in_bag)
+        """The node arrays, renumbered in preorder as ``train_rf`` gives them."""
+        order = _preorder(self.left, self.right, 0)
+        rank = {old: new for new, old in enumerate(order)}
+        left, right = (
+            [rank[child[i]] if child[i] >= 0 else -1 for i in order]
+            for child in (self.left, self.right)
+        )
+        values = (
+            [self.feature[i] for i in order], [self.threshold[i] for i in order],
+            left, right, [self.counts[i] for i in order], in_bag,
+        )
         return {k: np.asarray(v, dtype=d) for k, v, d in zip(FIELDS, values, DTYPES)}
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from plastiscan import load_model, read_stack, classify_scene, save_model
+from plastiscan import cli
 from plastiscan.cli import main
 from plastiscan.dataset import FRACTION_CATEGORIES, load_samples
 from plastiscan.metrics import METRIC_KEYS
@@ -94,6 +95,59 @@ class TestUsageErrors:
             main(["--version"])
         assert exc.value.code == 0
         assert "plastiscan" in capsys.readouterr().out
+
+
+COMMANDS = ("indices", "stretch", "synth-data", "synth-scene", "train", "tune",
+            "predict-scene", "evaluate", "matrix", "profile")
+
+# argv, and the subcommand that main parses it with alone (None: the full
+# parser; ...: either, as argparse's reading of "--" before a subcommand
+# differs between Python versions)
+PARSER_CASES = [
+    (["--help"], None),
+    (["-h", "predict-scene"], None),
+    (["--he", "train"], None),
+    *(([command, "--help"], command) for command in COMMANDS),
+    (["--config", "cfg.json", "predict-scene", "--out", "o.pgm"], "predict-scene"),
+    (["--conf", "cfg.json", "predict-scene", "--out", "o.pgm"], "predict-scene"),
+    (["--config=cfg.json", "predict-scene", "--out", "o.pgm"], "predict-scene"),
+    (["--config", "missing.json", "train"], "train"),
+    (["--config"], None),
+    ([], None),
+    (["frobnicate"], None),
+    (["predict-scene", "--in"], "predict-scene"),
+    (["predict-scene", "--in", "a.json", "--bogus"], "predict-scene"),
+    (["train", "--algo", "xgb"], "train"),
+    (["matrix", "--version"], "matrix"),
+    (["--", "evaluate", "-h"], ...),
+    (["--config", "cfg.json", "--", "evaluate"], ...),
+    (["--version"], None),
+    (["--vers"], None),
+]
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of ``main(argv)``; help and version exit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserEquivalence:
+    @pytest.mark.parametrize("argv, command", PARSER_CASES,
+                             ids=[" ".join(argv) or "no-args" for argv, _ in PARSER_CASES])
+    def test_same_as_full_parser(self, capsys, monkeypatch, tmp_path, argv, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text('{"in": "missing.json"}', encoding="utf-8")
+        if command is not ...:
+            assert cli._find_command(argv) == command
+        got = outcome(capsys, argv)
+        monkeypatch.setattr(cli, "_find_command", lambda argv: None)
+        assert outcome(capsys, argv) == got
+        assert got[0] in (0, 1, 2) and got[1] + got[2]
 
 
 class TestExitCodes:

@@ -114,6 +114,27 @@ class TestSampleTable:
         with pytest.raises(DuplicateKeyError):
             SampleTable((a, make_sample(row=0, fraction=20.0)))
 
+    def test_only_tables_from_rows_check_keys(self, monkeypatch, tmp_path):
+        table = SampleTable(tuple(
+            make_sample(site=site, row=row, label=label)
+            for site, label in (("z", PLASTIC), ("a", WATER)) for row in range(3)
+        ))
+        calls = []
+        key = Sample.key
+        monkeypatch.setattr(Sample, "key", lambda sample: calls.append(sample) or key(sample))
+        cut = split(table, 0.5, seed=0)
+        subs = [table.only(WATER), table.canonical(), cut.train, cut.test]
+        assert calls == []  # cut from a checked table: nothing to check
+        assert all(SampleTable(sub.rows) == sub for sub in subs)
+        assert len(calls) == sum(map(len, subs))
+        with pytest.raises(DuplicateKeyError):
+            SampleTable(table.rows + table.only(WATER).rows)
+        path = tmp_path / "twice.csv"
+        save_samples(table, path)
+        path.write_text(path.read_text() + path.read_text().splitlines(True)[1])
+        with pytest.raises(DuplicateKeyError):
+            load_samples(path)
+
     def test_count_and_only(self):
         table = SampleTable((
             make_sample(row=0), make_sample(row=1, label=WATER),

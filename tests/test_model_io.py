@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from plastiscan import (
+    PatchSpec,
     RFHyperParams,
+    SynthConfig,
+    classify_scene,
+    gen_dataset,
+    gen_scene,
     load_model,
     predict_rf_batch,
     predict_svm_batch,
@@ -133,6 +138,52 @@ class TestRoundTrip:
             save_model(object(), tmp_path / "x.json")
 
 
+@pytest.fixture(scope="module")
+def paper_pool():
+    """The paper's 54 + 270 pool size: deep enough that unbounded trees on
+    every feature set grow past the 12 splits of a lookup table."""
+    return gen_dataset(SynthConfig(n_plastic=54, n_water=270, seed=7))
+
+
+@pytest.fixture(scope="module")
+def scene():
+    patches = (PatchSpec(2, 3, 6, 8, 0.6), PatchSpec(12, 10, 5, 5, 0.3))
+    stack, _ = gen_scene(SynthConfig(n_plastic=0, n_water=0, seed=3), 24, 20, patches)
+    return stack
+
+
+TREE_FIELDS = ("feature", "threshold", "left", "right", "counts", "leaf_class")
+
+
+class TestLoadedTreesEqualTrained:
+    @pytest.mark.parametrize("spec_id", sorted(MODEL_SPECS))
+    @pytest.mark.parametrize("profile", ["final_profile", "unbounded"])
+    def test_every_field_and_label_map(self, paper_pool, scene, tmp_path, spec_id, profile):
+        spec = MODEL_SPECS[spec_id]
+        hp = (RFHyperParams.final_profile(spec.n_features, seed=1) if profile == "final_profile"
+              else RFHyperParams.matrix_profile(mtry=1, seed=1, n_trees=40))
+        model = train_rf(paper_pool, spec, hp)
+        path = tmp_path / "rf.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        untabled = [tree._table is None for tree in model.trees]
+        assert any(untabled) == (profile == "unbounded")
+        for tree, back in zip(model.trees, loaded.trees, strict=True):
+            for name in TREE_FIELDS:
+                got, want = getattr(back, name), getattr(tree, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            assert back._splits == tree._splits
+            if tree._table is None:
+                assert back._table is None
+            else:
+                assert back._table.dtype == tree._table.dtype
+                assert back._table.tobytes() == tree._table.tobytes()
+        labels = classify_scene(scene, loaded).labels
+        assert labels.tobytes() == classify_scene(scene, model).labels.tobytes()
+        save_model(loaded, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
 class TestSchemaErrors:
     def test_expect_algo_mismatch(self, rf_small, svm_small, tmp_path):
         rf_path, svm_path = tmp_path / "rf.json", tmp_path / "svm.json"
@@ -243,6 +294,40 @@ class TestCorruptionErrors:
 
         path = tampered(tmp_path, rf_small, smash)
         with pytest.raises(CorruptModelError, match=key):
+            load_model(path)
+
+    @pytest.mark.parametrize("bad, match", [
+        ([2, -1], "leaf counts"),
+        ({"f": 0, "t": 0.5}, "tree node"),
+        ({"f": -1, "t": 0.5, "l": [1, 0], "r": [0, 1]}, "split feature"),
+        ({"f": 0, "t": "x", "l": [1, 0], "r": [0, 1]}, "split threshold"),
+        ({"f": 6, "t": 0.5, "l": [1, 0], "r": [0, 1]},
+         "split feature 6 is outside the spec's 6 features"),
+    ], ids=["leaf", "node", "feature", "threshold", "outside"])
+    def test_tree_errors_name_the_tree(self, rf_small, tmp_path, bad, match):
+        def smash(d):
+            d["trees"][3] = {"f": 1, "t": 0.25, "l": [3, 1], "r": {"f": 0, "t": 0.5,
+                                                                 "l": bad, "r": [0, 2]}}
+
+        assert rf_small.spec.n_features == 6
+        path = tampered(tmp_path, rf_small, smash)
+        with pytest.raises(CorruptModelError, match=f"^tree 3: .*{match}"):
+            load_model(path)
+
+    def test_tree_errors_come_in_file_order(self, rf_small, tmp_path):
+        def smash(d):
+            d["trees"][1] = {"f": 9, "t": 0.5, "l": [1, 0], "r": [0, 1]}
+            d["trees"][2] = [0, 0]
+
+        path = tampered(tmp_path, rf_small, smash)
+        with pytest.raises(CorruptModelError, match="^tree 1: split feature 9 is outside"):
+            load_model(path)
+
+        def smash_later_node(d):
+            d["trees"][1] = {"f": 9, "t": 0.5, "l": [1, 0], "r": [0, 0]}
+
+        path = tampered(tmp_path, rf_small, smash_later_node)
+        with pytest.raises(CorruptModelError, match="^tree 1: leaf counts"):
             load_model(path)
 
     def test_tree_nested_too_deeply(self, rf_small, tmp_path):
