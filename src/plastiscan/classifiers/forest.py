@@ -587,6 +587,11 @@ class RFModel:
         return float(curve[-1]), curve, importances
 
 
+def _check_mtry(mtry: int, spec: FeatureSetSpec) -> None:
+    if mtry > spec.n_features:
+        raise ValueError(f"mtry={mtry} exceeds the {spec.n_features} features of {spec.spec_id}")
+
+
 def train_rf(table: SampleTable, spec: FeatureSetSpec, hp: RFHyperParams) -> RFModel:
     """Fit a forest on ``table`` under ``spec``.
 
@@ -594,16 +599,18 @@ def train_rf(table: SampleTable, spec: FeatureSetSpec, hp: RFHyperParams) -> RFM
     invariant to input row order.  Requires both classes present and
     ``mtry <= spec.n_features``.
     """
-    if hp.mtry > spec.n_features:
-        raise ValueError(
-            f"mtry={hp.mtry} exceeds the {spec.n_features} features of {spec.spec_id}"
-        )
+    _check_mtry(hp.mtry, spec)
     table = table.canonical()
     if len(table) < 2:
         raise ClassTooSmallError(f"need at least 2 training samples, got {len(table)}")
     X, y = feature_matrix(table, spec)
     if len(set(y.tolist())) < 2:
         raise SingleClassError("training data contains a single class")
+    return _fit_rf(X, y, spec, hp)
+
+
+def _fit_rf(X, y, spec: FeatureSetSpec, hp: RFHyperParams) -> RFModel:
+    """:func:`train_rf` on checked two-class features of canonically sorted rows."""
     trees = _grow_forest(X, y == PLASTIC, hp)
     model = RFModel(spec=spec, hyperparams=hp, trees=trees, n_train=len(y))
     model._training = (X, y)

@@ -224,6 +224,11 @@ def train_svm(table: SampleTable, spec: FeatureSetSpec, hp: SVMHyperParams) -> S
     X, labels = feature_matrix(table, spec)
     if len(set(labels.tolist())) < 2:
         raise SingleClassError("training data contains a single class")
+    return _fit_svm(X, labels, spec, hp)
+
+
+def _fit_svm(X, labels, spec: FeatureSetSpec, hp: SVMHyperParams) -> SVMModel:
+    """:func:`train_svm` on checked two-class features of canonically sorted rows."""
     y = np.where(labels == PLASTIC, 1.0, -1.0)
 
     mean = X.mean(axis=0)
@@ -235,7 +240,7 @@ def train_svm(table: SampleTable, spec: FeatureSetSpec, hp: SVMHyperParams) -> S
         dropped = [spec.members[i] for i in np.nonzero(~kept)[0]]
         warnings.warn(
             f"dropping zero-variance feature(s): {', '.join(dropped)}",
-            stacklevel=2,
+            stacklevel=3,  # the caller of train_svm or grid_search
         )
     scaler = Scaler(mean=mean, sd=sd, kept=kept)
     Xs = scaler.transform(X)
@@ -255,7 +260,7 @@ def train_svm(table: SampleTable, spec: FeatureSetSpec, hp: SVMHyperParams) -> S
         support_vectors=Xs[support],
         dual_coefs=(alpha * y)[support],
         bias=bias,
-        n_train=len(table),
+        n_train=len(y),
     )
 
 

@@ -1,9 +1,10 @@
 """Stratified k-fold grid search for both classifier families.
 
-Folds are assigned per class: canonical order, seeded shuffle, round-robin.
-The winner maximises mean fold accuracy; exact ties resolve toward the
-smaller C then smaller sigma (SVM) or the smaller mtry (RF), preferring the
-simpler model.
+The table is sorted canonically and featurised once; folds are a fold-id array
+over that one feature matrix, assigned per class: seeded shuffle, round-robin.
+Each fit takes the other folds' rows, already in canonical order.  The winner
+maximises mean fold accuracy; exact ties resolve toward the smaller C then
+smaller sigma (SVM) or the smaller mtry (RF), preferring the simpler model.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ from typing import Literal, Mapping
 
 import numpy as np
 
-from ..dataset import SampleTable, Sample, feature_matrix
+from ..dataset import SampleTable, feature_matrix
 from ..errors import FoldTooSmallError
 from ..rng import derive_seed, seeded_rng
 from ..spectra import FeatureSetSpec, PLASTIC, WATER
-from .forest import RFHyperParams, predict_rf_batch, train_rf
-from .svm import SVMHyperParams, predict_svm_batch, train_svm
+from .forest import RFHyperParams, _check_mtry, _fit_rf, predict_rf_batch
+from .svm import SVMHyperParams, _fit_svm, predict_svm_batch
 
 __all__ = [
     "DEFAULT_SIGMA_GRID",
@@ -75,29 +76,19 @@ class GridSearchResult:
     cv_table: tuple[CVEntry, ...]
 
 
-def _fold_assignment(table: SampleTable, k: int, seed: int) -> list[list[Sample]]:
-    """Round-robin per-class fold membership over the canonical order."""
-    folds: list[list[Sample]] = [[] for _ in range(k)]
+def _fold_ids(y: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Fold of each row, for rows in canonical order: per class, a seeded
+    permutation of its rows dealt round-robin over the ``k`` folds."""
+    fold = np.empty(len(y), dtype=np.int64)
     for label in (PLASTIC, WATER):
-        rows = table.only(label).canonical().rows
+        rows = np.flatnonzero(y == label)
         if len(rows) < k:
             raise FoldTooSmallError(
                 f"class {label} has {len(rows)} samples, fewer than cv_folds={k}"
             )
         order = seeded_rng(seed, "cv-folds", label).permutation(len(rows))
-        for i, pos in enumerate(order):
-            folds[i % k].append(rows[pos])
-    return folds
-
-
-def _cv_accuracy(folds, spec, fit, predict) -> tuple[float, ...]:
-    accs = []
-    for held in range(len(folds)):
-        train_rows = [s for f, fold in enumerate(folds) if f != held for s in fold]
-        model = fit(SampleTable._of_checked(tuple(train_rows)), held)
-        X, y = feature_matrix(SampleTable._of_checked(tuple(folds[held])), spec)
-        accs.append(float(np.mean(predict(model, X) == y)))
-    return tuple(accs)
+        fold[rows[order]] = np.arange(len(rows)) % k
+    return fold
 
 
 def grid_search(
@@ -114,37 +105,34 @@ def grid_search(
     ``rf_base`` / ``svm_base`` supply the non-searched fields (tree count,
     tolerance, ...); the searched fields are overridden per grid point.
     """
-    folds = _fold_assignment(train, grid.cv_folds, seed)
-    entries: list[CVEntry] = []
-    candidates: list[tuple[tuple, RFHyperParams | SVMHyperParams]] = []
-
+    train = train.canonical()
+    fold = _fold_ids(np.array([s.label for s in train.rows]), grid.cv_folds, seed)
     if algo == "rf":
         base = rf_base if rf_base is not None else RFHyperParams()
         mtry_grid = grid.mtry_grid or tuple(range(1, spec.n_features + 1))
-        for mtry in mtry_grid:
-            def fit(sub, fold, _mtry=mtry):
-                hp = replace(base, mtry=_mtry, seed=derive_seed(seed, "cv-fit", _mtry, fold))
-                return train_rf(sub, spec, hp)
-
-            accs = _cv_accuracy(folds, spec, fit, predict_rf_batch)
-            mean = float(np.mean(accs))
-            entries.append(CVEntry({"mtry": mtry}, accs, mean))
-            candidates.append(((-mean, mtry), replace(base, mtry=mtry)))
+        for mtry in mtry_grid:  # before any fit: _grow_forest would clamp it
+            _check_mtry(mtry, spec)
+        points = [{"mtry": mtry} for mtry in mtry_grid]
+        fit, predict = _fit_rf, predict_rf_batch
     elif algo == "svm":
         base = svm_base if svm_base is not None else SVMHyperParams()
-        for C in grid.c_grid:
-            for sigma in grid.sigma_grid:
-                hp = replace(base, C=C, sigma=sigma)
-
-                def fit(sub, fold, _hp=hp):  # the SVM solver draws no randomness
-                    return train_svm(sub, spec, _hp)
-
-                accs = _cv_accuracy(folds, spec, fit, predict_svm_batch)
-                mean = float(np.mean(accs))
-                entries.append(CVEntry({"C": C, "sigma": sigma}, accs, mean))
-                candidates.append(((-mean, C, sigma), hp))
+        points = [{"C": C, "sigma": sigma} for C in grid.c_grid for sigma in grid.sigma_grid]
+        fit, predict = _fit_svm, predict_svm_batch
     else:
         raise ValueError(f"algo must be 'svm' or 'rf', got {algo!r}")
 
-    best = min(candidates, key=lambda item: item[0])[1]
-    return GridSearchResult(best=best, cv_table=tuple(entries))
+    X, y = feature_matrix(train, spec)
+    entries: list[CVEntry] = []
+    for params in points:
+        hp = replace(base, **params)
+        accs = []
+        for held in range(grid.cv_folds):
+            fits = fold != held
+            if algo == "rf":  # the SVM solver draws no randomness
+                hp = replace(hp, seed=derive_seed(seed, "cv-fit", hp.mtry, held))
+            model = fit(X[fits], y[fits], spec, hp)
+            accs.append(float(np.mean(predict(model, X[~fits]) == y[~fits])))
+        entries.append(CVEntry(params, tuple(accs), float(np.mean(accs))))
+
+    best = min(entries, key=lambda e: (-e.mean_accuracy, *e.params.values()))
+    return GridSearchResult(best=replace(base, **best.params), cv_table=tuple(entries))

@@ -484,26 +484,21 @@ def _cmd_tune(cfg: RunConfig) -> None:
         table, spec, cfg["algo"], grid, int(cfg["seed"]),
         rf_base=rf_base, svm_base=svm_base,
     )
-    best = result.best
-    if cfg["algo"] == "rf":
-        print(f"best: mtry={best.mtry}")
-    else:
-        print(f"best: C={best.C!r} sigma={best.sigma!r}")
-    for entry in result.cv_table:
-        params = ";".join(f"{k}={v!r}" for k, v in entry.params.items())
-        print(f"  {params}: mean_accuracy={entry.mean_accuracy!r}")
+    searched = result.cv_table[0].params
+    print("best: " + " ".join(f"{k}={getattr(result.best, k)!r}" for k in searched))
+    rows = [
+        [";".join(f"{k}={v!r}" for k, v in entry.params.items()), repr(entry.mean_accuracy),
+         ";".join(repr(a) for a in entry.fold_accuracies)]
+        for entry in result.cv_table
+    ]
+    for params, mean, _ in rows:
+        print(f"  {params}: mean_accuracy={mean}")
     if cfg["out"]:
         import csv as _csv
 
         with Path(str(cfg["out"])).open("w", newline="", encoding="utf-8") as fh:
             writer = _csv.writer(fh, lineterminator="\n")
-            writer.writerow(["params", "mean_accuracy", "fold_accuracies"])
-            for entry in result.cv_table:
-                writer.writerow([
-                    ";".join(f"{k}={v!r}" for k, v in entry.params.items()),
-                    repr(entry.mean_accuracy),
-                    ";".join(repr(a) for a in entry.fold_accuracies),
-                ])
+            writer.writerows([["params", "mean_accuracy", "fold_accuracies"], *rows])
         print(f"wrote {cfg['out']}")
 
 

@@ -199,6 +199,9 @@ def load_samples(path: str | Path) -> SampleTable:
         except StopIteration:
             raise SchemaMismatchError(f"{path.name}: file is empty") from None
         header = [h.strip() for h in raw_header]
+        repeated = list(dict.fromkeys(c for i, c in enumerate(header) if c in header[:i]))
+        if repeated:
+            raise SchemaMismatchError(f"{path.name}: duplicate column(s) {', '.join(repeated)}")
         missing = [c for c in SCHEMA_COLUMNS if c not in header]
         if missing:
             raise SchemaMismatchError(
@@ -216,7 +219,7 @@ def load_samples(path: str | Path) -> SampleTable:
             raise SchemaMismatchError(
                 f"{path.name}: unexpected column(s) {', '.join(unknown)}"
             )
-        col_of = {c: header.index(c) for c in header}
+        col_of = {c: i for i, c in enumerate(header)}
         band_columns = list(_CORE_BAND_COLUMNS) + extra_bands
 
         samples: list[Sample] = []

@@ -164,6 +164,16 @@ class TestExitCodes:
                            "--out", str(tmp_path / "p.csv"))
         assert code == 2
 
+    def test_duplicate_csv_column_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text(CSV_HEADER + ",B04\n"
+                        "beirut,2018-11-02,0,0,,,0.11,0.09,0.2,0.05,plastic,30.0,0.3\n",
+                        encoding="utf-8")
+        code, _, err = run(capsys, "profile", "--samples", str(path),
+                           "--out", str(tmp_path / "p.csv"))
+        assert code == 2
+        assert "duplicate column(s) B04" in err
+
     def test_solver_failure_is_numeric_error(self, capsys, pool_csv, tmp_path):
         code, _, err = run(capsys, "train", "--samples", str(pool_csv),
                            "--model", "2", "--algo", "svm",

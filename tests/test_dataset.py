@@ -195,6 +195,15 @@ class TestLoadSamples:
         with pytest.raises(SchemaMismatchError, match="comment"):
             load_samples(write_csv(tmp_path, text))
 
+    def test_duplicate_columns_named(self, tmp_path):
+        text = "\n".join([
+            HEADER + ",B04,B8A,B8A",
+            "s,2019-04-24,0,0,,,0.05,0.06,0.25,0.02,plastic,56.0,0.07,0.24,0.24",
+            "",
+        ])
+        with pytest.raises(SchemaMismatchError, match=r"duplicate column\(s\) B04, B8A$"):
+            load_samples(write_csv(tmp_path, text))
+
     def test_extra_band_columns_accepted(self, tmp_path):
         text = "\n".join([
             HEADER + ",B02,B8A",

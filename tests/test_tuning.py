@@ -7,16 +7,30 @@ import math
 import numpy as np
 import pytest
 
-from plastiscan import PLASTIC, RFHyperParams, SVMHyperParams, WATER
+from plastiscan import (
+    MODEL_SPECS,
+    PLASTIC,
+    RFHyperParams,
+    SVMHyperParams,
+    SynthConfig,
+    TestCaseSpec as CaseSpec,
+    WATER,
+    build_test_case,
+    gen_dataset,
+    split,
+)
 from plastiscan.classifiers.tuning import (
     DEFAULT_C_GRID,
     DEFAULT_SIGMA_GRID,
     GridSpec,
-    _fold_assignment,
+    _fold_ids,
     grid_search,
 )
-from plastiscan.errors import FoldTooSmallError
+from plastiscan.dataset import Sample, SampleTable
+from plastiscan.errors import DegenerateDenominatorError, FoldTooSmallError
+from plastiscan.spectra import PixelSpectrum
 
+import cv_oracle
 from conftest import band_spec, table_from_features
 
 
@@ -76,32 +90,148 @@ class TestGridSpec:
             GridSpec(**kwargs)
 
 
+def matrix_train(n_plastic, n_water, case, seed):
+    """A matrix cell's training table: a shuffled test case, split 70/30."""
+    pool = gen_dataset(SynthConfig(n_plastic=n_plastic, n_water=n_water, seed=seed))
+    table = build_test_case(pool.only(PLASTIC), pool.only(WATER), CaseSpec(case), seed)
+    return split(table, 0.7, seed).train
+
+
 class TestFoldAssignment:
     def test_partition_and_balance(self):
-        table, _ = separable_table(n=26)
-        folds = _fold_assignment(table, 4, seed=9)
-        seen = [s.key() for fold in folds for s in fold]
-        assert sorted(seen) == sorted(s.key() for s in table.rows)
+        _, y = separable_table(n=26)
+        fold = _fold_ids(y, 4, seed=9)
+        assert fold.shape == y.shape
+        assert set(fold.tolist()) == {0, 1, 2, 3}
         for label in (PLASTIC, WATER):
-            sizes = [sum(s.label == label for s in fold) for fold in folds]
-            assert max(sizes) - min(sizes) <= 1
+            sizes = np.bincount(fold[y == label], minlength=4)
+            assert sizes.max() - sizes.min() <= 1
 
     def test_deterministic_and_seed_sensitive(self):
-        table, _ = separable_table(n=24)
-        keys = lambda folds: [[s.key() for s in fold] for fold in folds]
-        assert keys(_fold_assignment(table, 3, 1)) == keys(_fold_assignment(table, 3, 1))
-        assert keys(_fold_assignment(table, 3, 1)) != keys(_fold_assignment(table, 3, 2))
+        _, y = separable_table(n=24)
+        assert np.array_equal(_fold_ids(y, 3, 1), _fold_ids(y, 3, 1))
+        assert not np.array_equal(_fold_ids(y, 3, 1), _fold_ids(y, 3, 2))
 
     def test_class_smaller_than_fold_count(self):
-        table, _ = separable_table(n=8)
+        _, y = separable_table(n=8)
         with pytest.raises(FoldTooSmallError, match="cv_folds=5"):
-            _fold_assignment(table, 5, seed=0)
+            _fold_ids(y, 5, seed=0)
+
+    @pytest.mark.parametrize("k, seed", [(2, 0), (3, 7), (5, 987654)])
+    def test_membership_equals_oracle(self, k, seed):
+        table = matrix_train(12, 60, "TC3", seed=4)
+        rows = table.canonical().rows
+        fold = _fold_ids(np.array([s.label for s in rows]), k, seed)
+        expected = cv_oracle.fold_assignment(table, k, seed)
+        for f in range(k):
+            assert {rows[i].key() for i in np.flatnonzero(fold == f)} == {
+                s.key() for s in expected[f]
+            }
 
     def test_grid_search_propagates_fold_error(self):
         table, _ = separable_table(n=6)
         with pytest.raises(FoldTooSmallError):
             grid_search(table, band_spec(2), "rf",
                         GridSpec(mtry_grid=(1,), cv_folds=4), seed=0)
+
+
+def tied_table():
+    """A duplicated, cleanly separating feature: every grid point scores 1.0."""
+    rng = np.random.default_rng(1)
+    y = np.array([PLASTIC, WATER] * 10)
+    col = np.where(y == PLASTIC, 0.9, 0.1) + rng.normal(0, 0.01, 20)
+    return table_from_features(np.column_stack([col, col]), y)
+
+
+class TestCVOracle:
+    """The search over one feature matrix equals the per-fold-table search."""
+
+    POOLS = {
+        "tc1-model2": (lambda: matrix_train(24, 130, "TC1", seed=3), MODEL_SPECS["Model2"], 3),
+        "tc3-model5": (lambda: matrix_train(16, 120, "TC3", seed=11), MODEL_SPECS["Model5"], 2),
+        "tc5-model4": (lambda: matrix_train(10, 120, "TC5", seed=987654), MODEL_SPECS["Model4"], 5),
+        "tied": (tied_table, band_spec(2), 0),
+    }
+    SEARCHES = {
+        "rf-depth-first": dict(algo="rf", rf_base=RFHyperParams(n_trees=12)),
+        "rf-best-first": dict(algo="rf", rf_base=RFHyperParams(n_trees=12, max_leaf_nodes=4)),
+        "svm": dict(algo="svm"),
+    }
+
+    @pytest.mark.parametrize("search", SEARCHES)
+    @pytest.mark.parametrize("pool", POOLS)
+    def test_search_equals_oracle(self, pool, search):
+        make, spec, seed = self.POOLS[pool]
+        table = make()
+        kwargs = dict(spec=spec, seed=seed, **self.SEARCHES[search],
+                      grid=GridSpec(sigma_grid=(0.03, 0.09), c_grid=(2.0, 10.0), cv_folds=3))
+        got = grid_search(table, **kwargs)
+        want = cv_oracle.grid_search(table, **kwargs)
+        assert got.best == want.best
+        assert got.cv_table == want.cv_table
+        for g, w in zip(got.cv_table, want.cv_table):
+            assert g.params == w.params
+            assert g.fold_accuracies == w.fold_accuracies
+            assert g.mean_accuracy == w.mean_accuracy
+        if pool == "tied":
+            means = [e.mean_accuracy for e in got.cv_table]
+            assert len(set(means)) < len(means)
+
+
+def band_sample(i, label, b4=0.05, b8=0.25):
+    spectrum = PixelSpectrum({"B4": b4, "B6": 0.06 + 0.001 * i, "B8": b8, "B11": 0.02})
+    return Sample(site="s", date="2019-04-24", row=i, col=0, spectrum=spectrum,
+                  label=label, plastic_fraction=50.0 if label == PLASTIC else None)
+
+
+def alternating_table(n, degenerate=None):
+    """``n`` samples of alternating class; row ``degenerate`` has B4 + B8 = 0."""
+    return SampleTable(tuple(
+        band_sample(i, PLASTIC if i % 2 == 0 else WATER,
+                    **(dict(b4=0.0, b8=0.0) if i == degenerate else {}))
+        for i in range(n)
+    ))
+
+
+class TestSearchErrors:
+    """Each failure keeps its type, its text and its precedence."""
+
+    def test_mtry_beyond_feature_count(self):
+        table = matrix_train(12, 60, "TC3", seed=4)
+        with pytest.raises(ValueError, match=r"^mtry=9 exceeds the 3 features of Model4$"):
+            grid_search(table, MODEL_SPECS["Model4"], "rf",
+                        GridSpec(mtry_grid=(1, 9), cv_folds=2), seed=0,
+                        rf_base=RFHyperParams(n_trees=5))
+
+    def test_single_class_table(self):
+        table = table_from_features(np.full((6, 2), 0.5), [PLASTIC] * 6)
+        with pytest.raises(FoldTooSmallError,
+                           match=r"^class 2 has 0 samples, fewer than cv_folds=2$"):
+            grid_search(table, band_spec(2), "svm", GridSpec(cv_folds=2), seed=0)
+
+    @pytest.mark.parametrize("algo", ["rf", "svm"])
+    def test_fold_error_before_degenerate_row(self, algo):
+        table = alternating_table(6, degenerate=2)
+        with pytest.raises(FoldTooSmallError,
+                           match=r"^class 1 has 3 samples, fewer than cv_folds=4$"):
+            grid_search(table, MODEL_SPECS["Model4"], algo, GridSpec(cv_folds=4), seed=0)
+
+    @pytest.mark.parametrize("algo", ["rf", "svm"])
+    def test_degenerate_row_names_its_sample(self, algo):
+        table = alternating_table(12, degenerate=5)
+        with pytest.raises(
+            DegenerateDenominatorError,
+            match=r"^sample \('s', '2019-04-24', 5, 0\): PI denominator is degenerate$",
+        ):
+            grid_search(table, MODEL_SPECS["Model4"], algo, GridSpec(cv_folds=2), seed=0,
+                        rf_base=RFHyperParams(n_trees=5))
+
+    def test_zero_variance_warning_text(self):
+        y = np.array([PLASTIC, WATER] * 6)
+        X = np.column_stack([np.where(y == PLASTIC, 0.9, 0.1), np.full(12, 0.3)])
+        with pytest.warns(UserWarning, match=r"^dropping zero-variance feature\(s\): B3$"):
+            grid_search(table_from_features(X, y), band_spec(2), "svm",
+                        GridSpec(sigma_grid=(0.09,), c_grid=(2.0,), cv_folds=2), seed=0)
 
 
 class TestRFSearch:
