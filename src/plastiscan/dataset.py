@@ -122,12 +122,15 @@ class Sample:
     def key(self) -> tuple[str, str, int | None, int | None]:
         return (self.site, self.date, self.row, self.col)
 
-    def sort_key(self) -> tuple[str, str, int, int]:
+    def sort_key(self) -> tuple[str, str, bool, int, bool, int]:
+        """Orders by (site, date, row, col) with a missing row or col first."""
         return (
             self.site,
             self.date,
-            -1 if self.row is None else self.row,
-            -1 if self.col is None else self.col,
+            self.row is not None,
+            self.row or 0,
+            self.col is not None,
+            self.col or 0,
         )
 
 

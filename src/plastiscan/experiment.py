@@ -245,17 +245,33 @@ def render_matrix_text(matrix: ExperimentMatrix) -> str:
     return ("\n\n".join(blocks)) + "\n"
 
 
+# Pixels per classification block: 1.5 MiB of Model2 features, so a block's
+# features, masks and codes stay within a 2 MiB per-core L2 cache.
+_BLOCK_PIXELS = 1 << 15
+
+
 def classify_scene(stack: BandStack, model: RFModel | SVMModel) -> LabelGrid:
     """Label every pixel of a stack with a trained model.
 
     Pixels with any missing band value or a degenerate index denominator get
-    the nodata label 0.
+    the nodata label 0.  The flattened scene is featurised and predicted in
+    blocks of ``_BLOCK_PIXELS``, so memory beyond the stack and the labels
+    does not grow with the scene.
     """
     height, width = stack.height, stack.width
-    X = feature_columns({b: g.values.reshape(-1) for b, g in stack.grids.items()}, model.spec)
-    valid = np.all(np.isfinite(X), axis=1)
+    bands = {b: g.values.reshape(-1) for b, g in stack.grids.items()}
+    predict = predict_rf_batch if isinstance(model, RFModel) else predict_svm_batch
     labels = np.zeros(height * width, dtype=np.uint8)
-    if valid.any():
-        predict = predict_rf_batch if isinstance(model, RFModel) else predict_svm_batch
-        labels[valid] = predict(model, X[valid])
+    for at in range(0, len(labels), _BLOCK_PIXELS):
+        block = slice(at, at + _BLOCK_PIXELS)
+        X = feature_columns({b: v[block] for b, v in bands.items()}, model.spec)
+        valid = np.isfinite(X[:, 0])
+        for j in range(1, X.shape[1]):
+            valid &= np.isfinite(X[:, j])
+        if valid.all():
+            labels[block] = predict(model, X)
+        elif valid.any():
+            X = X[valid]  # rebinding frees the whole block's features first
+            labels[block][valid] = predict(model, X)
+        del X  # before the next block's features are built
     return LabelGrid(width=width, height=height, labels=labels.reshape(height, width))

@@ -311,14 +311,14 @@ def read_stack(path: str | Path) -> BandStack:
         raise TruncatedPayloadError(
             f"payload is {len(payload)} bytes, header implies {expected}"
         )
-    flat = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    cube = flat.reshape(len(band_ids), height, width)
+    cube = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    cube = cube.reshape(len(band_ids), height, width)
     grids: dict[str, Grid] = {}
-    for i, band_id in enumerate(band_ids):
-        plane = cube[i].copy()
+    for band_id, plane in zip(band_ids, cube):  # each grid holds a view of the cube
+        bad = ~np.isfinite(plane)
         if nodata is not None:
-            plane[plane == nodata] = np.nan
-        plane[~np.isfinite(plane)] = np.nan
+            bad |= plane == nodata
+        plane[bad] = np.nan
         grids[band_id] = Grid(width=width, height=height, values=plane)
     resolution = resolutions[0] if resolutions else 10.0
     if resolutions and any(r != resolution for r in resolutions):

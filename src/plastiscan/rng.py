@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 _MASK64 = (1 << 64) - 1
 
@@ -36,6 +37,22 @@ def derive_seed(*parts: int | str) -> int:
     return int.from_bytes(h.digest()[:8], "little") & _MASK64
 
 
+class _PhiloxKey(ISeedSequence):
+    """Hands Philox a 64-bit key as its two key words ``[key, 0]``.
+
+    Philox asks its seed sequence for ``generate_state(2, np.uint64)`` and
+    takes the words as its key.  ``Philox(key=k)`` sets the same key, but
+    first builds and discards a ``SeedSequence`` from OS entropy, which costs
+    most of a call.
+    """
+
+    def __init__(self, key: int) -> None:
+        self.key = key
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return np.array([self.key, 0], dtype=np.uint64)
+
+
 def seeded_rng(*parts: int | str) -> np.random.Generator:
     """Generator on an independent Philox stream keyed by ``parts``."""
-    return np.random.Generator(np.random.Philox(key=derive_seed(*parts)))
+    return np.random.Generator(np.random.Philox(_PhiloxKey(derive_seed(*parts))))

@@ -1,10 +1,12 @@
 """Slow reference for whole-scene labelling.
 
-``classify_scene`` predicts through each forest tree's compiled lookup table
-and evaluates the SVM kernel in row blocks.  This module labels the same
-pixels by the plainest route: every tree's level walk with a majority vote
-(ties to plastic), and one ``_rbf_matrix`` over the whole batch.  Tests
-require the package's labels and decision values to match it bit for bit.
+``classify_scene`` featurises and labels the scene in pixel blocks of
+``experiment._BLOCK_PIXELS``, predicts through each forest tree's compiled
+lookup table and evaluates the SVM kernel in row blocks.  This module labels
+the same pixels by the plainest route: one feature matrix for the whole
+scene, every tree's level walk with a majority vote (ties to plastic), and
+one ``_rbf_matrix`` over the whole batch.  Tests require the package's labels
+and decision values to match it bit for bit.
 """
 
 from __future__ import annotations

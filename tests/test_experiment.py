@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from plastiscan import (
     train_svm,
 )
 from plastiscan.dataset import TEST_CASES
+from plastiscan import experiment
 from plastiscan.experiment import ALGOS, MODEL_IDS
 from plastiscan.classifiers.svm import _BLOCK_ROWS, SVMHyperParams
 from plastiscan.errors import MissingBandError
@@ -360,20 +362,92 @@ def blocky_scene():
     return apply_mask(stack, MaskGrid(width=50, height=48, keep=keep))
 
 
+@pytest.fixture(scope="module")
+def streamed_scene():
+    """301 x 250 cells: more than two default pixel blocks, with plastic
+    patches, a nodata lattice, and masked bottom rows that leave the last
+    block without one valid pixel."""
+    stack, _ = gen_scene(
+        SynthConfig(n_plastic=0, n_water=0, seed=22), width=250, height=301,
+        patches=(PatchSpec(row=10, col=30, height=40, width=60, fraction=0.9),
+                 PatchSpec(row=120, col=100, height=90, width=120, fraction=0.5),
+                 PatchSpec(row=255, col=0, height=6, width=40, fraction=0.8)))
+    keep = np.ones((301, 250), dtype=bool)
+    keep[::7, ::5] = False
+    keep[261:] = False
+    return apply_mask(stack, MaskGrid(width=250, height=301, keep=keep))
+
+
+@pytest.fixture(scope="module")
+def scene_models(default_pool):
+    """Per feature set: RF ``final_profile``, an unbounded RF whose trees
+    need 16-bit codes, and an SVM."""
+    cache = {}
+
+    def models(model_id):
+        if model_id not in cache:
+            spec = MODEL_SPECS[model_id]
+            unbounded = train_rf(default_pool, spec,
+                                 RFHyperParams.matrix_profile(mtry=1, seed=1, n_trees=15))
+            assert max(tree.n_leaves for tree in unbounded.trees) > 9
+            cache[model_id] = (
+                train_rf(default_pool, spec,
+                         RFHyperParams.final_profile(spec.n_features, seed=1)),
+                unbounded,
+                train_svm(default_pool, spec, SVMHyperParams(seed=1)),
+            )
+        return cache[model_id]
+
+    return models
+
+
 class TestClassifySceneMatchesReference:
     @pytest.mark.parametrize("model_id", MODEL_IDS)
-    def test_labels_byte_identical(self, default_pool, blocky_scene, model_id):
-        spec = MODEL_SPECS[model_id]
-        unbounded = train_rf(default_pool, spec,
-                             RFHyperParams.matrix_profile(mtry=1, seed=1, n_trees=15))
-        assert max(tree.n_leaves for tree in unbounded.trees) > 9  # 16-bit codes too
-        models = (
-            train_rf(default_pool, spec, RFHyperParams.final_profile(spec.n_features, seed=1)),
-            unbounded,
-            train_svm(default_pool, spec, SVMHyperParams(seed=1)),
-        )
+    def test_labels_byte_identical(self, scene_models, blocky_scene, model_id):
         assert blocky_scene.width * blocky_scene.height > 2 * _BLOCK_ROWS
-        for model in models:
+        for model in scene_models(model_id):
             labels = classify_scene(blocky_scene, model).labels
             assert labels.tobytes() == scene_oracle.classify_scene(blocky_scene, model).tobytes()
             assert set(np.unique(labels).tolist()) == {0, PLASTIC, WATER}
+
+    @pytest.mark.parametrize("block_pixels", [1, 7, 1000, None], ids=str)
+    @pytest.mark.parametrize("model_id", MODEL_IDS)
+    def test_streamed_blocks_byte_identical(self, scene_models, streamed_scene,
+                                            monkeypatch, model_id, block_pixels):
+        scene = streamed_scene
+        assert scene.width * scene.height > 2 * experiment._BLOCK_PIXELS
+        last_block = scene.grids["B8"].values.reshape(-1)[2 * experiment._BLOCK_PIXELS:]
+        assert np.isnan(last_block).all()  # the default's last block is all nodata
+        if block_pixels is not None:
+            monkeypatch.setattr(experiment, "_BLOCK_PIXELS", block_pixels)
+        if block_pixels is not None and block_pixels < 100:
+            # rows 258..263, columns 28..51: plastic, water, lattice cells
+            # and, from row 261, runs of nodata longer than a block
+            scene = BandStack(
+                grids={bid: Grid(width=24, height=6, values=g.values[258:264, 28:52].copy())
+                       for bid, g in scene.grids.items()},
+                resolution_m=scene.resolution_m)
+        for model in scene_models(model_id):
+            labels = classify_scene(scene, model).labels
+            assert labels.tobytes() == scene_oracle.classify_scene(scene, model).tobytes()
+            assert set(np.unique(labels).tolist()) == {0, PLASTIC, WATER}
+
+
+def test_scene_memory_does_not_grow_with_the_scene(scene_models):
+    # Beyond the stack and the labels, classify_scene holds one block's
+    # features at a time; 4 KiB covers small objects such as the grid.
+    peaks = {}
+    for size in (256, 512):
+        stack, _ = gen_scene(
+            SynthConfig(n_plastic=0, n_water=0, seed=22), width=size, height=size,
+            patches=(PatchSpec(row=10, col=30, height=40, width=60, fraction=0.9),))
+        for model in scene_models("Model2")[::2]:
+            tracemalloc.start()
+            try:
+                classify_scene(stack, model)
+                peaks[size, type(model).__name__] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    for algo in ("RFModel", "SVMModel"):
+        assert peaks[256, algo] <= 4.5e6
+        assert peaks[512, algo] - peaks[256, algo] <= 512 * 512 - 256 * 256 + 4096

@@ -23,7 +23,7 @@ from plastiscan import (
 )
 from plastiscan.classifiers import forest
 from plastiscan.classifiers.forest import RFModel, _Tree, _best_splits
-from plastiscan.dataset import SampleTable
+from plastiscan.dataset import Sample, SampleTable
 from plastiscan.errors import (
     ClassTooSmallError,
     EmptyInputError,
@@ -33,7 +33,7 @@ from plastiscan.errors import (
     SpecMismatchError,
 )
 from plastiscan.rng import seeded_rng
-from plastiscan.spectra import FeatureVector
+from plastiscan.spectra import MODEL_SPECS, FeatureVector, PixelSpectrum
 
 import forest_oracle
 import scene_oracle
@@ -229,6 +229,29 @@ class TestTraining:
         assert a.oob_error == b.oob_error
         np.testing.assert_array_equal(a.oob_curve, b.oob_curve)
         np.testing.assert_array_equal(predict_rf_batch(a, X), predict_rf_batch(b, X))
+
+    def test_row_order_does_not_matter_with_missing_row_and_col(self):
+        # A sample at (row -1, col -1) and a lat/lon-only one at the same site
+        # and date must not sort equal, or the canonical order, and with it
+        # every seeded draw, would follow the input order.
+        rng = np.random.default_rng(0)
+        rows = tuple(
+            Sample(site=f"s{i}", date="2020-01-01", row=row, col=row,
+                   lat=lat, lon=lat,
+                   spectrum=PixelSpectrum(dict(zip(("B4", "B6", "B8", "B11"),
+                                                   rng.uniform(0.02, 0.4, 4)))),
+                   label=label)
+            for i in range(6)
+            for (row, lat), label in zip(((-1, None), (None, 38.0 + i)),
+                                         (PLASTIC, WATER) if i % 2 else (WATER, PLASTIC))
+        )
+        hp = RFHyperParams(n_trees=20, mtry=2, seed=0)
+        a = train_rf(SampleTable(rows), MODEL_SPECS["Model4"], hp)
+        b = train_rf(SampleTable(rows[::-1]), MODEL_SPECS["Model4"], hp)
+        assert a.oob_error == b.oob_error
+        for tree_a, tree_b in zip(a.trees, b.trees, strict=True):
+            for name in forest_oracle.FIELDS:
+                assert getattr(tree_a, name).tobytes() == getattr(tree_b, name).tobytes(), name
 
     def test_max_leaf_nodes_bounds_every_tree(self):
         table, _, _ = uniform_table(n=60, n_features=3, seed=5)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from plastiscan.raster import (
     write_label_map,
     write_stack,
 )
-from plastiscan.spectra import MODEL_SPECS, fdi, kndvi, ndvi, pi
+from plastiscan.spectra import BAND_ORDER, MODEL_SPECS, fdi, kndvi, ndvi, pi
 
 
 def grid_of(rows) -> Grid:
@@ -188,6 +189,25 @@ class TestStackRoundTrip:
             BandStack(grids={"B2": grid_of([[math.nan]])}, resolution_m=10.0), path
         )
         assert math.isnan(read_stack(path).grids["B2"].values[0, 0])
+
+    def test_read_peak_is_payload_plus_one_float64_cube(self, tmp_path):
+        # The payload is converted to float64 once and every grid holds its
+        # plane of that cube, so reading costs no second copy of the scene.
+        values = np.random.default_rng(0).uniform(0.0, 0.5, (len(BAND_ORDER), 256, 256))
+        values[:, ::9, ::7] = math.nan
+        grids = {bid: Grid(width=256, height=256, values=plane)
+                 for bid, plane in zip(BAND_ORDER, values)}
+        path = tmp_path / "s.json"
+        write_stack(BandStack(grids=grids, resolution_m=10.0, nodata_value=-999.0), path)
+        tracemalloc.start()
+        try:
+            back = read_stack(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * (4 + 8) * values.size
+        for bid, plane in zip(BAND_ORDER, values):
+            np.testing.assert_array_equal(back.grids[bid].values, plane.astype(np.float32))
 
     def test_resolution_and_provenance_round_trip(self, tmp_path):
         path = tmp_path / "s.json"

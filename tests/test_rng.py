@@ -45,6 +45,23 @@ def test_seeded_rng_streams_are_independent_and_reproducible() -> None:
     assert not np.array_equal(a1, b)
 
 
+# 51 part tuples: the package's purposes at three seeds, and odd-sized parts.
+STREAM_PARTS = [
+    (seed, purpose, i)
+    for seed in (0, 1, 987654)
+    for purpose in ("tree", "split", "cv-folds", "permutation")
+    for i in range(4)
+] + [(0,), ("x",), (2**70, "y", -3)]
+
+
+@pytest.mark.parametrize("parts", STREAM_PARTS)
+def test_seeded_rng_is_the_philox_stream_keyed_by_derive_seed(parts) -> None:
+    got = seeded_rng(*parts)
+    want = np.random.Generator(np.random.Philox(key=derive_seed(*parts)))
+    assert repr(got.bit_generator.state) == repr(want.bit_generator.state)
+    assert got.random(1000).tobytes() == want.random(1000).tobytes()
+
+
 @given(
     st.lists(
         st.one_of(st.integers(-(2**80), 2**80), st.text(max_size=20)),
