@@ -38,14 +38,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..dataset import SampleTable, feature_matrix
+from ..dataset import SampleTable, _training_matrix, feature_matrix
 from ..errors import (
-    ClassTooSmallError,
     EmptyInputError,
     LengthMismatchError,
     MissingOobRecordsError,
-    SingleClassError,
     SpecMismatchError,
+    _outside_stacklevel,
 )
 from ..rng import seeded_rng
 from ..spectra import FeatureSetSpec, FeatureVector, PLASTIC, WATER
@@ -579,8 +578,9 @@ class RFModel:
         X, y = self._training
         oob = _oob_rows(self.trees, len(y))
         curve = _oob_curve(self.trees, oob, X, y)
-        if math.isnan(curve[-1]):  # stacklevel: past cached_property and the property
-            warnings.warn("no sample was ever out of bag; OOB error undefined", stacklevel=4)
+        if math.isnan(curve[-1]):
+            warnings.warn("no sample was ever out of bag; OOB error undefined",
+                          stacklevel=_outside_stacklevel())
         importances = _permutation_importance(
             self.trees, oob, X, y, self.hyperparams.seed, self.spec.n_features
         )
@@ -600,13 +600,7 @@ def train_rf(table: SampleTable, spec: FeatureSetSpec, hp: RFHyperParams) -> RFM
     ``mtry <= spec.n_features``.
     """
     _check_mtry(hp.mtry, spec)
-    table = table.canonical()
-    if len(table) < 2:
-        raise ClassTooSmallError(f"need at least 2 training samples, got {len(table)}")
-    X, y = feature_matrix(table, spec)
-    if len(set(y.tolist())) < 2:
-        raise SingleClassError("training data contains a single class")
-    return _fit_rf(X, y, spec, hp)
+    return _fit_rf(*_training_matrix(table, spec), spec, hp)
 
 
 def _fit_rf(X, y, spec: FeatureSetSpec, hp: RFHyperParams) -> RFModel:

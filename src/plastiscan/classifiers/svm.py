@@ -26,15 +26,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..dataset import SampleTable, feature_matrix
+from ..dataset import SampleTable, _training_matrix
 from ..errors import (
-    ClassTooSmallError,
     ConvergenceError,
     EmptyFeaturesError,
     EmptyInputError,
     LengthMismatchError,
-    SingleClassError,
     SpecMismatchError,
+    _outside_stacklevel,
 )
 from ..spectra import FeatureSetSpec, FeatureVector, PLASTIC, WATER
 
@@ -218,13 +217,7 @@ def train_svm(table: SampleTable, spec: FeatureSetSpec, hp: SVMHyperParams) -> S
     :class:`~plastiscan.errors.ConvergenceError` if the solver exhausts
     ``hp.max_passes * n`` iterations.
     """
-    table = table.canonical()
-    if len(table) < 2:
-        raise ClassTooSmallError(f"need at least 2 training samples, got {len(table)}")
-    X, labels = feature_matrix(table, spec)
-    if len(set(labels.tolist())) < 2:
-        raise SingleClassError("training data contains a single class")
-    return _fit_svm(X, labels, spec, hp)
+    return _fit_svm(*_training_matrix(table, spec), spec, hp)
 
 
 def _fit_svm(X, labels, spec: FeatureSetSpec, hp: SVMHyperParams) -> SVMModel:
@@ -240,7 +233,7 @@ def _fit_svm(X, labels, spec: FeatureSetSpec, hp: SVMHyperParams) -> SVMModel:
         dropped = [spec.members[i] for i in np.nonzero(~kept)[0]]
         warnings.warn(
             f"dropping zero-variance feature(s): {', '.join(dropped)}",
-            stacklevel=3,  # the caller of train_svm or grid_search
+            stacklevel=_outside_stacklevel(),
         )
     scaler = Scaler(mean=mean, sd=sd, kept=kept)
     Xs = scaler.transform(X)

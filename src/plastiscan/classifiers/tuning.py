@@ -2,7 +2,8 @@
 
 The table is sorted canonically and featurised once; folds are a fold-id array
 over that one feature matrix, assigned per class: seeded shuffle, round-robin.
-Each fit takes the other folds' rows, already in canonical order.  The winner
+Each fit takes the other folds' rows, already in canonical order; a matrix
+cell runs the same search on its training rows, as arrays.  The winner
 maximises mean fold accuracy; exact ties resolve toward the smaller C then
 smaller sigma (SVM) or the smaller mtry (RF), preferring the simpler model.
 """
@@ -15,9 +16,9 @@ from typing import Literal, Mapping
 
 import numpy as np
 
-from ..dataset import SampleTable, feature_matrix
+from ..dataset import SampleTable, _class_ranks, _labels, feature_matrix
 from ..errors import FoldTooSmallError
-from ..rng import derive_seed, seeded_rng
+from ..rng import derive_seed
 from ..spectra import FeatureSetSpec, PLASTIC, WATER
 from .forest import RFHyperParams, _check_mtry, _fit_rf, predict_rf_batch
 from .svm import SVMHyperParams, _fit_svm, predict_svm_batch
@@ -79,16 +80,11 @@ class GridSearchResult:
 def _fold_ids(y: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Fold of each row, for rows in canonical order: per class, a seeded
     permutation of its rows dealt round-robin over the ``k`` folds."""
-    fold = np.empty(len(y), dtype=np.int64)
     for label in (PLASTIC, WATER):
-        rows = np.flatnonzero(y == label)
-        if len(rows) < k:
-            raise FoldTooSmallError(
-                f"class {label} has {len(rows)} samples, fewer than cv_folds={k}"
-            )
-        order = seeded_rng(seed, "cv-folds", label).permutation(len(rows))
-        fold[rows[order]] = np.arange(len(rows)) % k
-    return fold
+        n = int(np.count_nonzero(y == label))
+        if n < k:
+            raise FoldTooSmallError(f"class {label} has {n} samples, fewer than cv_folds={k}")
+    return _class_ranks(y, seed, "cv-folds") % k
 
 
 def grid_search(
@@ -106,7 +102,15 @@ def grid_search(
     tolerance, ...); the searched fields are overridden per grid point.
     """
     train = train.canonical()
-    fold = _fold_ids(np.array([s.label for s in train.rows]), grid.cv_folds, seed)
+    search = _searcher(_labels(train.rows), spec, algo, grid, seed, rf_base, svm_base)[0]
+    return search(feature_matrix(train, spec)[0])
+
+
+def _searcher(y, spec: FeatureSetSpec, algo: str, grid: GridSpec, seed: int, rf_base, svm_base):
+    """:func:`grid_search` of canonical rows labelled ``y``, raising fold errors,
+    then argument errors.  Returns the search, which takes the rows' feature
+    matrix, and the fit and predict functions of ``algo``."""
+    fold = _fold_ids(y, grid.cv_folds, seed)
     if algo == "rf":
         base = rf_base if rf_base is not None else RFHyperParams()
         mtry_grid = grid.mtry_grid or tuple(range(1, spec.n_features + 1))
@@ -121,18 +125,19 @@ def grid_search(
     else:
         raise ValueError(f"algo must be 'svm' or 'rf', got {algo!r}")
 
-    X, y = feature_matrix(train, spec)
-    entries: list[CVEntry] = []
-    for params in points:
-        hp = replace(base, **params)
-        accs = []
-        for held in range(grid.cv_folds):
-            fits = fold != held
-            if algo == "rf":  # the SVM solver draws no randomness
-                hp = replace(hp, seed=derive_seed(seed, "cv-fit", hp.mtry, held))
-            model = fit(X[fits], y[fits], spec, hp)
-            accs.append(float(np.mean(predict(model, X[~fits]) == y[~fits])))
-        entries.append(CVEntry(params, tuple(accs), float(np.mean(accs))))
+    def search(X: np.ndarray) -> GridSearchResult:
+        entries: list[CVEntry] = []
+        for params in points:
+            hp = replace(base, **params)
+            accs = []
+            for held in range(grid.cv_folds):
+                fits = fold != held
+                if algo == "rf":  # the SVM solver draws no randomness
+                    hp = replace(hp, seed=derive_seed(seed, "cv-fit", hp.mtry, held))
+                model = fit(X[fits], y[fits], spec, hp)
+                accs.append(float(np.mean(predict(model, X[~fits]) == y[~fits])))
+            entries.append(CVEntry(params, tuple(accs), float(np.mean(accs))))
+        best = min(entries, key=lambda e: (-e.mean_accuracy, *e.params.values()))
+        return GridSearchResult(best=replace(base, **best.params), cv_table=tuple(entries))
 
-    best = min(entries, key=lambda e: (-e.mean_accuracy, *e.params.values()))
-    return GridSearchResult(best=replace(base, **best.params), cv_table=tuple(entries))
+    return search, fit, predict

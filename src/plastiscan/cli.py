@@ -10,6 +10,7 @@ the config, which wins over built-in defaults.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -290,35 +291,32 @@ def _parse_model(token) -> str:
     return spec_id
 
 
-def _parse_float_list(token, what: str) -> tuple[float, ...]:
+def _parse_list(token, what: str, cast: Callable, kind: str) -> tuple:
     if isinstance(token, (list, tuple)):
-        return tuple(float(v) for v in token)
+        return tuple(cast(v) for v in token)
     try:
-        return tuple(float(tok) for tok in str(token).split(",") if tok.strip())
+        return tuple(cast(tok) for tok in str(token).split(",") if tok.strip())
     except ValueError:
-        raise _UsageError(f"--{what} must be a comma-separated number list, got {token!r}")
+        raise _UsageError(f"--{what} must be a comma-separated {kind} list, got {token!r}")
 
 
-def _parse_int_list(token, what: str) -> tuple[int, ...]:
-    if isinstance(token, (list, tuple)):
-        return tuple(int(v) for v in token)
-    try:
-        return tuple(int(tok) for tok in str(token).split(",") if tok.strip())
-    except ValueError:
-        raise _UsageError(f"--{what} must be a comma-separated integer list, got {token!r}")
+def _write_csv(path, header: list[str], rows) -> None:
+    with Path(str(path)).open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
 def _grid_from(cfg: RunConfig) -> GridSpec:
     return GridSpec(
         mtry_grid=(
-            _parse_int_list(cfg["mtry_grid"], "mtry-grid") if cfg["mtry_grid"] else None
+            _parse_list(cfg["mtry_grid"], "mtry-grid", int, "integer")
+            if cfg["mtry_grid"] else None
         ),
         sigma_grid=(
-            _parse_float_list(cfg["sigma_grid"], "sigma-grid")
+            _parse_list(cfg["sigma_grid"], "sigma-grid", float, "number")
             if cfg["sigma_grid"] else DEFAULT_SIGMA_GRID
         ),
         c_grid=(
-            _parse_float_list(cfg["c_grid"], "c-grid")
+            _parse_list(cfg["c_grid"], "c-grid", float, "number")
             if cfg["c_grid"] else DEFAULT_C_GRID
         ),
         cv_folds=int(cfg["folds"]),
@@ -436,14 +434,10 @@ def _cmd_synth_scene(cfg: RunConfig) -> None:
 def _rf_hp_from(cfg: RunConfig, n_features: int) -> RFHyperParams:
     hp = RFHyperParams.final_profile(n_features, seed=int(cfg["seed"]))
     overrides = {}
-    for key, field in (
-        ("n_trees", "n_trees"), ("mtry", "mtry"), ("max_depth", "max_depth"),
-        ("min_samples_split", "min_samples_split"),
-        ("min_samples_leaf", "min_samples_leaf"),
-        ("max_leaf_nodes", "max_leaf_nodes"),
-    ):
-        if cfg[key] is not None:
-            overrides[field] = int(cfg[key])
+    for name in ("n_trees", "mtry", "max_depth", "min_samples_split", "min_samples_leaf",
+                 "max_leaf_nodes"):
+        if cfg[name] is not None:
+            overrides[name] = int(cfg[name])
     return replace(hp, **overrides)
 
 
@@ -494,11 +488,7 @@ def _cmd_tune(cfg: RunConfig) -> None:
     for params, mean, _ in rows:
         print(f"  {params}: mean_accuracy={mean}")
     if cfg["out"]:
-        import csv as _csv
-
-        with Path(str(cfg["out"])).open("w", newline="", encoding="utf-8") as fh:
-            writer = _csv.writer(fh, lineterminator="\n")
-            writer.writerows([["params", "mean_accuracy", "fold_accuracies"], *rows])
+        _write_csv(cfg["out"], ["params", "mean_accuracy", "fold_accuracies"], rows)
         print(f"wrote {cfg['out']}")
 
 
@@ -535,13 +525,8 @@ def _cmd_evaluate(cfg: RunConfig) -> None:
     )
     print(render_metrics_text(report), end="")
     if cfg["out"]:
-        import csv as _csv
-
-        with Path(str(cfg["out"])).open("w", newline="", encoding="utf-8") as fh:
-            writer = _csv.writer(fh, lineterminator="\n")
-            writer.writerow(["metric", "value"])
-            for key, value in metrics_rows(report):
-                writer.writerow([key, format_value(value)])
+        _write_csv(cfg["out"], ["metric", "value"],
+                   [[key, format_value(value)] for key, value in metrics_rows(report)])
         print(f"wrote {cfg['out']}")
 
 
@@ -567,16 +552,11 @@ def _cmd_profile(cfg: RunConfig) -> None:
     table = load_samples(cfg["samples"])
     bands = tuple(tok.strip() for tok in str(cfg["bands"]).split(",") if tok.strip())
     profile = spectral_profile(table, bands)
-    import csv as _csv
-
-    with Path(str(cfg["out"])).open("w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(["category", "count", "band", "mean_reflectance"])
-        for gi, category in enumerate(profile.categories):
-            for bi, band_id in enumerate(profile.bands):
-                writer.writerow([
-                    category, profile.counts[gi], band_id, repr(float(profile.means[gi, bi])),
-                ])
+    _write_csv(cfg["out"], ["category", "count", "band", "mean_reflectance"], [
+        [category, profile.counts[gi], band_id, repr(float(profile.means[gi, bi]))]
+        for gi, category in enumerate(profile.categories)
+        for bi, band_id in enumerate(profile.bands)
+    ])
     print(f"wrote {cfg['out']} ({len(profile.categories)} bins x {len(profile.bands)} bands)")
 
 

@@ -8,13 +8,13 @@ the sample spectra; any other extra column is a schema error.  Labels are
 
 Tables are immutable; every operation returning samples is pure given its
 seed, and pools are canonically sorted before any seeded draw so results do
-not depend on input row order.
+not depend on input row order.  The split and the CV folds both rank each
+class's canonical rows by a seeded permutation (``_class_ranks``).
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,6 +34,7 @@ from .errors import (
     MissingFractionError,
     NonNumericReflectanceError,
     SchemaMismatchError,
+    SingleClassError,
 )
 from .raster import feature_columns
 from .rng import seeded_rng
@@ -354,34 +355,43 @@ class SplitResult:
     seed: int
 
 
-def _round_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
+def _class_ranks(y: np.ndarray, seed: int, stream: str) -> np.ndarray:
+    """Each row's place in a seeded permutation of its class, for canonical rows."""
+    rank = np.empty(len(y), dtype=np.int64)
+    for label in (PLASTIC, WATER):
+        rows = np.flatnonzero(y == label)
+        rank[rows[seeded_rng(seed, stream, label).permutation(len(rows))]] = np.arange(len(rows))
+    return rank
+
+
+def _train_mask(y: np.ndarray, train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`split` of canonical rows labelled ``y``: train mask, class ranks."""
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    counts = np.bincount(y, minlength=WATER + 1)
+    for label in (PLASTIC, WATER):
+        if counts[label] < 2:
+            raise ClassTooSmallError(
+                f"class {LABEL_NAMES[label]} has {counts[label]} samples; need at least 2"
+            )
+    rank = _class_ranks(y, seed, "split")
+    return rank < np.floor(train_fraction * counts + 0.5)[y], rank  # halves round to train
 
 
 def split(table: SampleTable, train_fraction: float, seed: int) -> SplitResult:
     """Stratified train/test split.
 
-    Each class is shuffled under the seed and cut at
+    Each class, in canonical order, is shuffled under the seed and cut at
     ``round(train_fraction * class_count)``, rounding halves toward train.
+    Both parts hold the plastic rows first, each class in its drawn order.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    train: list[Sample] = []
-    test: list[Sample] = []
-    for label in (PLASTIC, WATER):
-        rows = table.only(label).canonical().rows
-        if len(rows) < 2:
-            raise ClassTooSmallError(
-                f"class {LABEL_NAMES[label]} has {len(rows)} samples; need at least 2"
-            )
-        rng = seeded_rng(seed, "split", label)
-        order = rng.permutation(len(rows))
-        n_train = _round_half_up(train_fraction * len(rows))
-        train += [rows[i] for i in order[:n_train]]
-        test += [rows[i] for i in order[n_train:]]
+    rows = table.canonical().rows
+    y = _labels(rows)
+    train, rank = _train_mask(y, train_fraction, seed)
+    order = np.lexsort((rank, y))
     return SplitResult(
-        train=SampleTable._of_checked(tuple(train)),
-        test=SampleTable._of_checked(tuple(test)),
+        train=SampleTable._of_checked(tuple(rows[i] for i in order[train[order]])),
+        test=SampleTable._of_checked(tuple(rows[i] for i in order[~train[order]])),
         seed=seed,
     )
 
@@ -405,7 +415,22 @@ def feature_matrix(table: SampleTable, spec: FeatureSetSpec) -> tuple[np.ndarray
         raise DegenerateDenominatorError(
             f"sample {table.rows[row].key()}: {spec.members[col]} denominator is degenerate"
         )
-    return X, np.array([s.label for s in table.rows], dtype=np.int64)
+    return X, _labels(table.rows)
+
+
+def _labels(rows: Sequence[Sample]) -> np.ndarray:
+    return np.array([s.label for s in rows], dtype=np.int64)
+
+
+def _training_matrix(table: SampleTable, spec: FeatureSetSpec) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`feature_matrix` of a two-class training table, in canonical order."""
+    table = table.canonical()
+    if len(table) < 2:
+        raise ClassTooSmallError(f"need at least 2 training samples, got {len(table)}")
+    X, y = feature_matrix(table, spec)
+    if len(set(y.tolist())) < 2:
+        raise SingleClassError("training data contains a single class")
+    return X, y
 
 
 # --- spectral profiles -----------------------------------------------------

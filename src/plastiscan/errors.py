@@ -9,6 +9,23 @@ families onto distinct exit codes.
 
 from __future__ import annotations
 
+import functools
+import os
+import sys
+
+# Frames a warning passes over to reach its caller: the package's own, and
+# functools', which runs cached_property getters.
+_PASSED = (os.path.dirname(__file__) + os.sep, functools.__file__)
+
+
+def _outside_stacklevel() -> int:
+    """The caller's warning ``stacklevel`` that names the first frame outside
+    the package, as pandas' ``find_stack_level`` does."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(_PASSED):
+        frame, level = frame.f_back, level + 1
+    return level
+
 
 class PlastiscanError(Exception):
     """Base class for every error raised by this package."""

@@ -3,10 +3,11 @@
 Every combination of feature set (Model1..Model5), class-imbalance test case
 (TC1..TC5), and algorithm (svm, rf) runs the same pipeline: assemble the test
 case from the pools, split 70/30 stratified, grid-search on the 70%, train
-the tuned model, evaluate on the held-out 30%.  Each cell derives its own
-seed from (master_seed, model, case, algo), so results are identical for any
-worker count and any cell execution order.  A cell that fails with a data
-error is recorded and the run continues.
+the tuned model, evaluate on the held-out 30%.  A cell featurises its test
+case once, in canonical order, and fits and scores slices of it: the split is
+a row mask.  Each cell derives its own seed from (master_seed, model, case,
+algo), so results are identical for any worker count and any cell execution
+order.  A cell that fails with a data error is recorded and the run continues.
 """
 
 from __future__ import annotations
@@ -25,13 +26,12 @@ from .classifiers import (
     RFModel,
     SVMHyperParams,
     SVMModel,
-    grid_search,
     predict_rf_batch,
     predict_svm_batch,
-    train_rf,
-    train_svm,
 )
-from .dataset import SampleTable, TestCaseSpec, build_test_case, feature_matrix, split
+from .classifiers.tuning import _searcher
+from .dataset import TEST_CASES, SampleTable, TestCaseSpec, build_test_case, feature_matrix
+from .dataset import _labels, _train_mask
 from .errors import PlastiscanError
 from .metrics import (
     METRIC_KEYS,
@@ -44,7 +44,6 @@ from .metrics import (
 from .raster import BandStack, LabelGrid, feature_columns
 from .rng import derive_seed
 from .spectra import MODEL_SPECS
-from .dataset import TEST_CASES
 
 __all__ = [
     "ALGOS",
@@ -106,27 +105,24 @@ def run_cell(
     try:
         table = build_test_case(
             plastic_pool, water_pool, case, seed=derive_seed(cell_seed, "assemble")
+        ).canonical()
+        # Any subset of these rows, taken in index order, is already in its own
+        # canonical order: the order that train_rf and train_svm would sort into.
+        y = _labels(table.rows)
+        train = _train_mask(y, TRAIN_FRACTION, seed=derive_seed(cell_seed, "split"))[0]
+        search, fit, predict = _searcher(
+            y[train], spec, algo, grid, derive_seed(cell_seed, "tune"), rf_base, svm_base
         )
-        parts = split(table, TRAIN_FRACTION, seed=derive_seed(cell_seed, "split"))
-        found = grid_search(
-            parts.train, spec, algo, grid, seed=derive_seed(cell_seed, "tune"),
-            rf_base=rf_base, svm_base=svm_base,
-        )
-        hp = replace(found.best, seed=derive_seed(cell_seed, "fit"))
-        if algo == "rf":
-            model = train_rf(parts.train, spec, hp)
-            tuned: dict[str, float] = {"mtry": hp.mtry, "n_trees": hp.n_trees}
-            predict = predict_rf_batch
-        else:
-            model = train_svm(parts.train, spec, hp)
-            tuned = {"C": hp.C, "sigma": hp.sigma}
-            predict = predict_svm_batch
-        X, y = feature_matrix(parts.test, spec)
-        cm = confusion(y, predict(model, X))
+        X = feature_matrix(table, spec)[0]
+        hp = replace(search(X[train]).best, seed=derive_seed(cell_seed, "fit"))
+        model = fit(X[train], y[train], spec, hp)
+        cm = confusion(y[~train], predict(model, X[~train]))
+        tuned = ({"mtry": hp.mtry, "n_trees": hp.n_trees} if algo == "rf"
+                 else {"C": hp.C, "sigma": hp.sigma})
         return MatrixCell(
             model_id=model_id, test_case_id=test_case_id, algo=algo,
             tuned=tuned, report=evaluate(cm), cm=cm,
-            n_train=len(parts.train), n_test=len(parts.test),
+            n_train=int(train.sum()), n_test=int((~train).sum()),
         )
     except PlastiscanError as exc:
         return MatrixCell(

@@ -119,15 +119,17 @@ class LabelGrid:
     labels: np.ndarray  # uint8, shape (height, width)
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.labels, dtype=np.uint8)
+        arr = np.asarray(self.labels)
         if arr.shape != (self.height, self.width):
             raise DimensionMismatchError(
                 f"labels shape {arr.shape} != (height={self.height}, width={self.width})"
             )
-        bad = set(np.unique(arr)) - {0, PLASTIC, WATER}
-        if bad:
-            raise ValueError(f"labels contain unknown classes {sorted(bad)}")
-        object.__setattr__(self, "labels", arr)
+        if arr.dtype != np.uint8 or arr.max(initial=0) > WATER:  # checked before the cast
+            known = (arr == 0) | (arr == PLASTIC) | (arr == WATER)
+            if not known.all():
+                bad = sorted(set(arr[~known].tolist()))
+                raise ValueError(f"labels contain unknown classes {bad}")
+        object.__setattr__(self, "labels", arr.astype(np.uint8, copy=False))
 
 
 @dataclass(frozen=True)
@@ -435,16 +437,14 @@ def compute_index_raster(stack: BandStack, index_id: str) -> Grid:
 
 # --- label map export ------------------------------------------------------
 
-_PGM_BYTE = {0: 0, WATER: 128, PLASTIC: 255}
-_PGM_LABEL = {0: 0, 128: WATER, 255: PLASTIC}
+_PGM_BYTE = np.array([0, 255, 128], dtype=np.uint8)  # by label: nodata, plastic, water
+_PGM_LABEL = np.full(256, 255, dtype=np.uint8)  # by byte; 255 marks a byte that is no label
+_PGM_LABEL[_PGM_BYTE] = (0, PLASTIC, WATER)
 
 
 def write_label_map(labels: LabelGrid, path: str | Path) -> None:
     """8-bit binary PGM (P5): 0 = nodata, 128 = water, 255 = plastic."""
-    lut = np.zeros(256, dtype=np.uint8)
-    for label, byte in _PGM_BYTE.items():
-        lut[label] = byte
-    body = lut[labels.labels].tobytes()
+    body = _PGM_BYTE[labels.labels].tobytes()
     header = f"P5\n{labels.width} {labels.height}\n255\n".encode("ascii")
     Path(path).write_bytes(header + body)
 
@@ -465,11 +465,8 @@ def read_label_map(path: str | Path) -> LabelGrid:
             f"{Path(path).name}: body is {len(body)} bytes, expected {width * height}"
         )
     flat = np.frombuffer(body, dtype=np.uint8)
-    unknown = set(np.unique(flat)) - set(_PGM_LABEL)
-    if unknown:
-        raise MalformedHeaderError(f"{Path(path).name}: unknown byte values {sorted(unknown)}")
-    lut = np.zeros(256, dtype=np.uint8)
-    for byte, label in _PGM_LABEL.items():
-        lut[byte] = label
-    labels = lut[flat].reshape(height, width)
-    return LabelGrid(width=width, height=height, labels=labels)
+    labels = _PGM_LABEL[flat]
+    if labels.max(initial=0) == 255:
+        unknown = sorted(set(flat[labels == 255].tolist()))
+        raise MalformedHeaderError(f"{Path(path).name}: unknown byte values {unknown}")
+    return LabelGrid(width=width, height=height, labels=labels.reshape(height, width))

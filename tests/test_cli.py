@@ -90,6 +90,19 @@ class TestUsageErrors:
         assert code == 1
         assert "--patch" in err
 
+    @pytest.mark.parametrize("flag, token, kind", [
+        ("--mtry-grid", "1,x", "integer"),
+        ("--mtry-grid", "1.5", "integer"),
+        ("--sigma-grid", "0.09,abc", "number"),
+        ("--c-grid", "2;10", "number"),
+    ])
+    def test_bad_grid_list(self, capsys, pool_csv, flag, token, kind):
+        code, _, err = run(capsys, "tune", "--samples", str(pool_csv), "--model", "2",
+                           "--algo", "rf" if flag == "--mtry-grid" else "svm", flag, token)
+        assert code == 1
+        assert err == (f"plastiscan: {flag} must be a comma-separated {kind} list, "
+                       f"got {token!r}\n")
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

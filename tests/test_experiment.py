@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -33,15 +34,24 @@ from plastiscan import (
     train_rf,
     train_svm,
 )
-from plastiscan.dataset import TEST_CASES
+from plastiscan.dataset import (
+    TEST_CASES,
+    Sample,
+    SampleTable,
+    TestCaseSpec as CaseSpec,
+    build_test_case,
+    split,
+)
 from plastiscan import experiment
 from plastiscan.experiment import ALGOS, MODEL_IDS
 from plastiscan.classifiers.svm import _BLOCK_ROWS, SVMHyperParams
 from plastiscan.errors import MissingBandError
 from plastiscan.metrics import METRIC_KEYS, NotAValue
 from plastiscan.raster import BandStack
+from plastiscan.rng import derive_seed
 from plastiscan.spectra import MODEL_SPECS, PixelSpectrum, feature_vector
 
+import cell_oracle
 import scene_oracle
 from conftest import band_spec, table_from_features
 
@@ -122,6 +132,137 @@ class TestRunCell:
                           n_train=0, n_test=0, error="x")
         tuned["mtry"] = 99
         assert cell.tuned == {"mtry": 1}
+
+
+
+# perfbench's reduced matrix grid, on a small pool
+PERF_GRID = GridSpec(mtry_grid=(1, 2), sigma_grid=(0.03, 0.09), c_grid=(2.0, 10.0),
+                     cv_folds=2)
+ORACLE_BASES = {
+    "depth-first": dict(rf_base=RFHyperParams.matrix_profile(mtry=1, n_trees=10),
+                        svm_base=SVMHyperParams(max_passes=5000)),
+    "best-first": dict(rf_base=RFHyperParams(n_trees=10, max_leaf_nodes=4)),
+}
+
+
+def with_bands(sample, **bands):
+    """``sample`` with some of its band reflectances replaced."""
+    spectrum = PixelSpectrum(dict(sample.spectrum.reflectance, **bands))
+    return dataclasses.replace(sample, spectrum=spectrum)
+
+
+def with_degenerate(pool, positions):
+    """``pool`` with B4 + B8 = 0 at ``positions``: PI, NDVI and kNDVI are undefined."""
+    rows = list(pool.rows)
+    for i in positions:
+        rows[i] = with_bands(rows[i], B4=0.0, B8=0.0)
+    return SampleTable(tuple(rows))
+
+
+def train_keys(plastic, water, model_id, case_id, algo, master_seed):
+    """Keys of a cell's training part, from the table-based split."""
+    cell_seed = derive_seed(master_seed, model_id, case_id, algo)
+    table = build_test_case(plastic, water, CaseSpec(case_id),
+                            seed=derive_seed(cell_seed, "assemble"))
+    parts = cell_oracle.split(table, experiment.TRAIN_FRACTION,
+                              seed=derive_seed(cell_seed, "split"))
+    return {s.key() for s in parts.train}
+
+
+class TestCellOracle:
+    """A cell in index space equals the table-based cell of ``cell_oracle``."""
+
+    @staticmethod
+    def assert_cells_equal(got, want):
+        for f in dataclasses.fields(MatrixCell):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+        assert got == want
+
+    @pytest.mark.parametrize("base", ORACLE_BASES)
+    @pytest.mark.parametrize("master_seed", [1, 987654])
+    def test_cells_equal_oracle(self, pools, master_seed, base):
+        plastic, water = pools
+        algos = ALGOS if base == "depth-first" else ("rf",)
+        for model_id in MODEL_IDS:
+            for case in TEST_CASES:
+                for algo in algos:
+                    args = (plastic, water, model_id, case.case_id, algo, PERF_GRID,
+                            master_seed)
+                    got = run_cell(*args, **ORACLE_BASES[base])
+                    assert got.error is None
+                    self.assert_cells_equal(got, cell_oracle.run_cell(*args,
+                                                                      **ORACLE_BASES[base]))
+
+    @pytest.mark.parametrize("n_plastic, n_water, error", [
+        (12, 20, "InsufficientWaterPoolError: TC5 needs 60 water samples, pool has 20"),
+        (1, 64, "ClassTooSmallError: class plastic has 1 samples; need at least 2"),
+        (2, 64, "FoldTooSmallError: class 1 has 1 samples, fewer than cv_folds=2"),
+    ])
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_error_cells_equal_oracle(self, pools, n_plastic, n_water, error, algo):
+        plastic, water = pools
+        plastic = SampleTable(plastic.rows[:n_plastic])
+        water = SampleTable(water.rows[:n_water])
+        args = (plastic, water, "Model4", "TC5", algo, PERF_GRID, 3)
+        got = run_cell(*args, **ORACLE_BASES["depth-first"])
+        assert got.error == error
+        self.assert_cells_equal(got, cell_oracle.run_cell(*args, **ORACLE_BASES["depth-first"]))
+
+    @pytest.mark.parametrize("part", ["train", "test"])
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_degenerate_row_equals_oracle(self, pools, part, algo):
+        plastic, water = pools
+        plastic = with_degenerate(plastic, [4])
+        bad = plastic.rows[4].key()
+        master_seed = next(m for m in range(100) if (bad in train_keys(
+            plastic, water, "Model4", "TC2", algo, m)) == (part == "train"))
+        args = (plastic, water, "Model4", "TC2", algo, PERF_GRID, master_seed)
+        got = run_cell(*args, **ORACLE_BASES["depth-first"])
+        assert got.error == (f"DegenerateDenominatorError: sample {bad}: "
+                             "PI denominator is degenerate")
+        self.assert_cells_equal(got, cell_oracle.run_cell(*args, **ORACLE_BASES["depth-first"]))
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_several_degenerate_rows_name_the_first_in_canonical_order(self, pools, algo):
+        """The table-based cell named the first bad training row in canonical
+        order, or, with none in training, the first bad test row in split
+        order; a cell now names the first bad row of its whole test case."""
+        plastic, water = pools
+        plastic = with_degenerate(plastic, [2, 5, 9])
+        bad = sorted((s for s in plastic.rows if s.spectrum.band("B8") == 0.0),
+                     key=Sample.sort_key)
+        first = bad[0].key()
+
+        def first_is_tested_and_another_trained(master_seed):
+            keys = train_keys(plastic, water, "Model4", "TC1", algo, master_seed)
+            return first not in keys and any(s.key() in keys for s in bad)
+
+        master_seed = next(m for m in range(100) if first_is_tested_and_another_trained(m))
+        args = (plastic, water, "Model4", "TC1", algo, PERF_GRID, master_seed)
+        got = run_cell(*args, **ORACLE_BASES["depth-first"])
+        assert got.error == (f"DegenerateDenominatorError: sample {first}: "
+                             "PI denominator is degenerate")
+        assert cell_oracle.run_cell(*args, **ORACLE_BASES["depth-first"]).error != got.error
+
+    def test_split_equals_oracle(self, pools):
+        plastic, water = pools
+        table = build_test_case(plastic, water, CaseSpec("TC3"), seed=5)
+        for fraction in (0.3, 0.5, 0.7, 0.9):
+            for seed in (0, 1, 987654):
+                got = split(table, fraction, seed)
+                want = cell_oracle.split(table, fraction, seed)
+                assert [s.key() for s in got.train] == [s.key() for s in want.train]
+                assert [s.key() for s in got.test] == [s.key() for s in want.test]
+
+    def test_zero_variance_warning_points_at_the_caller(self, pools):
+        plastic, water = pools
+        # a B6 of 0.0625 is exact in binary, so its column's sd is 0 over any rows
+        flat = [SampleTable(tuple(with_bands(s, B6=0.0625) for s in pool))
+                for pool in (plastic, water)]
+        with pytest.warns(UserWarning, match="zero-variance feature") as record:
+            cell = run_cell(*flat, "Model3", "TC1", "svm", QUICK_GRID, master_seed=0)
+        assert cell.error is None
+        assert {r.filename for r in record} == {__file__}
 
 
 class TestRunMatrix:

@@ -82,6 +82,18 @@ class TestGridTypes:
         with pytest.raises(ValueError, match="unknown classes"):
             LabelGrid(width=2, height=1, labels=np.array([[1, 3]]))
 
+    def test_label_grid_rejects_values_that_wrap_into_classes(self):
+        with pytest.raises(ValueError, match=r"^labels contain unknown classes \[257, 258\]$"):
+            LabelGrid(width=2, height=1, labels=np.array([[257, 258]]))
+
+    def test_label_grid_rejects_fractional_labels(self):
+        with pytest.raises(ValueError, match=r"^labels contain unknown classes \[1\.7\]$"):
+            LabelGrid(width=1, height=1, labels=np.array([[1.7]]))
+
+    def test_label_grid_names_bad_values_as_plain_numbers(self):
+        with pytest.raises(ValueError, match=r"^labels contain unknown classes \[-1, 3\]$"):
+            LabelGrid(width=3, height=1, labels=np.array([[3, -1, 3]]))
+
 
 class TestBandStack:
     def test_canonical_band_order(self):
@@ -649,4 +661,11 @@ class TestLabelMaps:
         path = tmp_path / "m.pgm"
         path.write_bytes(b"P5\n1 1\n255\n" + bytes([7]))
         with pytest.raises(MalformedHeaderError, match="7"):
+            read_label_map(path)
+
+    def test_unknown_byte_values_named_as_plain_numbers(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n4 1\n255\n" + bytes([200, 128, 7, 200]))
+        with pytest.raises(MalformedHeaderError,
+                           match=r"^m\.pgm: unknown byte values \[7, 200\]$"):
             read_label_map(path)

@@ -18,6 +18,7 @@ from plastiscan import (
     build_test_case,
     gen_dataset,
     split,
+    train_svm,
 )
 from plastiscan.classifiers.tuning import (
     DEFAULT_C_GRID,
@@ -232,6 +233,29 @@ class TestSearchErrors:
         with pytest.warns(UserWarning, match=r"^dropping zero-variance feature\(s\): B3$"):
             grid_search(table_from_features(X, y), band_spec(2), "svm",
                         GridSpec(sigma_grid=(0.09,), c_grid=(2.0,), cv_folds=2), seed=0)
+
+
+
+class TestZeroVarianceWarningLocation:
+    """The warning names the caller's line however deep the fit is called."""
+
+    @staticmethod
+    def constant_column_table():
+        y = np.array([PLASTIC, WATER] * 6)
+        # 0.25 is exact in binary, so the column's sd is 0 over any rows
+        X = np.column_stack([np.where(y == PLASTIC, 0.9, 0.1), np.full(12, 0.25)])
+        return table_from_features(X, y)
+
+    def test_through_grid_search(self):
+        with pytest.warns(UserWarning, match="zero-variance") as record:
+            grid_search(self.constant_column_table(), band_spec(2), "svm",
+                        GridSpec(sigma_grid=(0.09,), c_grid=(2.0,), cv_folds=2), seed=0)
+        assert [r.filename for r in record] == [__file__] * 2
+
+    def test_through_train_svm(self):
+        with pytest.warns(UserWarning, match="zero-variance") as record:
+            train_svm(self.constant_column_table(), band_spec(2), SVMHyperParams())
+        assert [r.filename for r in record] == [__file__]
 
 
 class TestRFSearch:
