@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import CorruptModelError, ModelSchemaError
+from ..errors import CorruptModelError, ModelSchemaError, _read_json
 from ..spectra import FeatureSetSpec, MODEL_SPECS
 from .forest import RFHyperParams, RFModel, _Tree, _forest_trees
 from .svm import Scaler, SVMHyperParams, SVMModel
@@ -218,12 +218,7 @@ def load_model(path: str | Path, expect_algo: str | None = None) -> RFModel | SV
 
     ``expect_algo`` ("rf" or "svm") makes a mismatched file a schema error.
     """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ModelSchemaError(f"model file is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise CorruptModelError("model file nests too deeply to read") from exc
+    doc = _read_json(path, "model file", ModelSchemaError, CorruptModelError)
     algo = _check_version_and_algo(doc, expect_algo)
     spec = _spec_from_json(doc.get("feature_spec"))
     hp_doc = doc.get("hyperparams")

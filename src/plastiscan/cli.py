@@ -13,14 +13,12 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable
 
 from . import __version__
 from .classifiers import (
-    DEFAULT_C_GRID,
-    DEFAULT_SIGMA_GRID,
     GridSpec,
     RFHyperParams,
     SVMHyperParams,
@@ -37,7 +35,7 @@ from .dataset import (
     save_samples,
     spectral_profile,
 )
-from .errors import DataError, EmptyInputError, NumericError
+from .errors import DataError, EmptyInputError, NumericError, _read_json
 from .experiment import classify_scene, export_matrix, render_matrix_text, run_matrix
 from .metrics import (
     confusion,
@@ -55,9 +53,9 @@ from .raster import (
     write_stack,
 )
 from .spectra import INDEX_IDS, MODEL_SPECS, PLASTIC, WATER
-from .synth import PatchSpec, SynthConfig, gen_dataset, gen_scene, load_endmembers
+from .synth import DEFAULT_FRACTIONS, PatchSpec, SynthConfig, gen_dataset, gen_scene, load_endmembers
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 _USAGE_EXIT = 1
 _DATA_EXIT = 2
@@ -72,86 +70,19 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit 1, not argparse's 2
         raise _UsageError(f"{message}\n{self.format_usage()}")
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: one subcommand plus its merged options."""
-
-    command: str
-    options: Mapping[str, object]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "options", dict(self.options))
-
-    def __getitem__(self, key: str):
-        return self.options[key]
+    def _get_values(self, action, arg_strings):
+        # argparse passes a "--" that ends the top-level options on to the
+        # command, as if it were the command; drop it, so that
+        # "plastiscan -- evaluate" runs evaluate.
+        if action.nargs == argparse.PARSER and arg_strings[:1] == ["--"]:
+            arg_strings = arg_strings[1:]
+        return super()._get_values(action, arg_strings)
 
 
-# Per-command option table: name -> (default, required).  Defaults live here,
-# not in argparse, so config-file values can sit between flags and defaults.
-_OPTIONS: dict[str, dict[str, tuple[object, bool]]] = {
-    "indices": {"in": (None, True), "out": (None, True), "index": (None, True)},
-    "stretch": {
-        "in": (None, True), "out": (None, True), "band": (None, False),
-        "p_low": (2.0, False), "p_high": (98.0, False),
-    },
-    "synth-data": {
-        "out": (None, True), "n_plastic": (54, False), "n_water": (270, False),
-        "noise_sd": (0.005, False), "seed": (0, False),
-        "endmembers": (None, False), "fractions": (None, False),
-    },
-    "synth-scene": {
-        "out": (None, True), "truth_out": (None, False),
-        "width": (64, False), "height": (64, False),
-        "noise_sd": (0.005, False), "seed": (0, False),
-        "endmembers": (None, False), "patch": ([], False),
-    },
-    "train": {
-        "samples": (None, True), "model": (None, True), "algo": (None, True),
-        "out": (None, True), "seed": (0, False),
-        "n_trees": (None, False), "mtry": (None, False), "max_depth": (None, False),
-        "min_samples_split": (None, False), "min_samples_leaf": (None, False),
-        "max_leaf_nodes": (None, False),
-        "c": (None, False), "sigma": (None, False),
-        "tolerance": (None, False), "max_passes": (None, False),
-    },
-    "tune": {
-        "samples": (None, True), "model": (None, True), "algo": (None, True),
-        "seed": (0, False), "folds": (5, False), "out": (None, False),
-        "mtry_grid": (None, False), "sigma_grid": (None, False),
-        "c_grid": (None, False), "n_trees": (500, False),
-    },
-    "predict-scene": {
-        "in": (None, True), "model_file": (None, True), "out": (None, True),
-    },
-    "evaluate": {"pred": (None, True), "truth": (None, True), "out": (None, False)},
-    "matrix": {
-        "plastic": (None, True), "water": (None, True), "out": (None, True),
-        "seed": (0, False), "jobs": (1, False), "folds": (5, False),
-        "mtry_grid": (None, False), "sigma_grid": (None, False),
-        "c_grid": (None, False), "n_trees": (500, False),
-        "text_out": (None, False),
-    },
-    "profile": {
-        "samples": (None, True), "out": (None, True),
-        "bands": ("B4,B6,B8,B11", False),
-    },
-}
-
-
-_COMMAND_HELP = {
-    "indices": "compute a spectral-index raster from a band stack",
-    "stretch": "percentile-stretch bands onto [0, 1] for display",
-    "synth-data": "generate a synthetic labelled sample pool CSV",
-    "synth-scene": "generate a synthetic scene raster and truth map",
-    "train": "train one classifier on a sample CSV",
-    "tune": "grid-search hyperparameters with stratified CV",
-    "predict-scene": "classify every pixel of a stack with a saved model",
-    "evaluate": "score predicted labels against truth labels",
-    "matrix": "run the feature-set x test-case x algorithm grid",
-    "profile": "per-band mean reflectance by plastic-coverage bin",
-}
-
+# --- option values ------------------------------------------------------------
+# Each option kind has one parse function: its flag's argparse ``type``, which
+# _check_config_value also applies to a config-file value.  A parse function
+# raises ValueError for argparse's own message, or _UsageError for its own.
 
 def _is_number(value: object) -> bool:
     """A finite JSON number; bools, NaN and infinities are not."""
@@ -166,6 +97,64 @@ def _list_of(test: Callable[[object], bool]) -> Callable[[object], bool]:
     return lambda value: isinstance(value, list) and all(map(test, value))
 
 
+def _parse_model(token) -> str:
+    text = str(token)
+    spec_id = text if text.startswith("Model") else f"Model{text}"
+    if spec_id not in MODEL_SPECS:
+        raise _UsageError(f"--model must be one of 1..5 (or Model1..Model5), got {token!r}")
+    return spec_id
+
+
+def _comma_list(cast: Callable, flag: str, kind: str) -> Callable[[object], tuple | None]:
+    """Parser of a comma-separated list, or of a config file's JSON list, into a
+    tuple; an empty value parses to None, which keeps the built-in default."""
+    def parse(token) -> tuple | None:
+        if not token:
+            return None
+        items = token if isinstance(token, list) else [t for t in token.split(",") if t.strip()]
+        try:
+            return tuple(map(cast, items))
+        except ValueError:
+            raise _UsageError(
+                f"--{flag} must be a comma-separated {kind} list, got {token!r}") from None
+    return parse
+
+
+def _parse_fractions(token) -> dict[str, float]:
+    """``bin:prob,...`` or a config file's JSON object; empty parses to {}."""
+    dist: dict[str, float] = {}
+    parts = token.items() if isinstance(token, dict) else (
+        [pair.split(":") for pair in token.split(",")] if token else []
+    )
+    for item in parts:
+        if len(item) != 2:
+            raise _UsageError(f"--fractions entries must look like 'bin:prob', got {item!r}")
+        name, prob = item
+        name = name.strip()
+        if name not in FRACTION_CATEGORIES:
+            raise _UsageError(
+                f"unknown fraction bin {name!r}; expected one of {', '.join(FRACTION_CATEGORIES)}"
+            )
+        try:
+            dist[name] = float(prob)
+        except ValueError:
+            raise _UsageError(f"--fractions probability {prob!r} is not a number")
+    return dist
+
+
+def _parse_patch(token: str) -> tuple:
+    """The PatchSpec fields in ``row,col,height,width,fraction[,endmember]``."""
+    parts = [p.strip() for p in token.split(",")]
+    if len(parts) not in (5, 6):
+        raise _UsageError(
+            f"--patch must be row,col,height,width,fraction[,endmember], got {token!r}"
+        )
+    try:
+        return (*map(int, parts[:4]), float(parts[4]), *parts[5:])
+    except ValueError:
+        raise _UsageError(f"--patch has non-numeric fields: {token!r}")
+
+
 # Option kinds by option name; an option not listed is free text.  A kind holds
 # the flag's add_argument keywords, then what a config-file value may be other
 # than a string (its wording in error messages, and its test).
@@ -178,14 +167,21 @@ _KINDS: dict[str, _Kind] = {
     ), ({"type": int}, "an integer", _is_int)),
     **dict.fromkeys(("noise_sd", "p_low", "p_high", "c", "sigma", "tolerance"),
                     ({"type": float}, "a number", _is_number)),
-    **dict.fromkeys(("sigma_grid", "c_grid"), ({}, "a list of numbers", _list_of(_is_number))),
-    "mtry_grid": ({}, "a list of integers", _list_of(_is_int)),
-    "model": ({}, "an integer", _is_int),
+    "mtry_grid": ({"type": _comma_list(int, "mtry-grid", "integer")}, "a list of integers",
+                  _list_of(_is_int)),
+    "sigma_grid": ({"type": _comma_list(float, "sigma-grid", "number")}, "a list of numbers",
+                   _list_of(_is_number)),
+    "c_grid": ({"type": _comma_list(float, "c-grid", "number")}, "a list of numbers",
+               _list_of(_is_number)),
+    "bands": ({"type": _comma_list(str.strip, "bands", "name")}, "", lambda value: False),
+    "model": ({"type": _parse_model}, "an integer", _is_int),
     "index": ({"choices": INDEX_IDS}, "", lambda value: False),
     "algo": ({"choices": ("svm", "rf")}, "", lambda value: False),
-    "patch": ({"action": "append", "help": "row,col,height,width,fraction[,endmember]"},
+    "patch": ({"type": _parse_patch, "action": "append",
+               "help": "row,col,height,width,fraction[,endmember]"},
               "a list of strings", _list_of(lambda item: isinstance(item, str))),
-    "fractions": ({"help": 'e.g. ">40%%:0.6,30-40%%:0.4"'}, "an object of numbers",
+    "fractions": ({"type": _parse_fractions, "help": 'e.g. ">40%%:0.6,30-40%%:0.4"'},
+                  "an object of numbers",
                   lambda value: isinstance(value, dict) and all(map(_is_number, value.values()))),
 }
 
@@ -199,9 +195,11 @@ def _build_parser(only: str | None = None) -> _Parser:
     parser.add_argument("--version", action="version", version=f"plastiscan {__version__}")
     parser.add_argument("--config", help="JSON file of option defaults for the subcommand")
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for command in _OPTIONS if only is None else (only,):
-        p = sub.add_parser(command, help=_COMMAND_HELP[command])
-        for name in _OPTIONS[command]:
+    for command in _COMMANDS if only is None else (only,):
+        help_text, _, options = _COMMANDS[command]
+        # a flag not given sets no attribute, so _merge_options can tell
+        p = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
+        for name in options:
             p.add_argument("--" + name.replace("_", "-"), dest=name, **_KINDS.get(name, _TEXT)[0])
     return parser
 
@@ -225,10 +223,11 @@ def _find_command(argv: list[str] | None) -> str | None:
     except _UsageError:
         return None
     command = args.command[0]
-    return None if args.full or command not in _OPTIONS else command
+    return None if args.full or command not in _COMMANDS else command
 
 
-def _check_config_value(key: str, name: str, value: object) -> None:
+def _check_config_value(key: str, name: str, value: object) -> object:
+    """The value of config key ``key`` for option ``name``, parsed as its flag's."""
     flag, wording, test = _KINDS.get(name, _TEXT)
     choices = flag.get("choices")
     if choices is not None and value not in choices:
@@ -237,127 +236,58 @@ def _check_config_value(key: str, name: str, value: object) -> None:
     if not isinstance(value, str) and not test(value):
         expected = f"{wording} or a string" if wording else "a string"
         raise _UsageError(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
-    convert = flag.get("type")
-    if isinstance(value, str) and convert is not None:
-        try:
-            convert(value)
-        except ValueError:
-            raise _UsageError(
-                f"config key {key!r} must be {wording}, got {json.dumps(value)}"
-            ) from None
+    parse = flag.get("type", lambda token: token)
+    if flag.get("action") == "append":  # a list of values, or one; "" is none
+        return [parse(item) for item in ([value] if isinstance(value, str) else value) if value]
+    try:
+        return parse(value)
+    except ValueError:
+        raise _UsageError(
+            f"config key {key!r} must be {wording}, got {json.dumps(value)}"
+        ) from None
 
 
-def _merge_options(command: str, args: argparse.Namespace, config_path: str | None) -> RunConfig:
-    table = _OPTIONS[command]
-    config: dict[str, object] = {}
-    if config_path:
+def _merge_options(command: str, args: argparse.Namespace) -> dict[str, object]:
+    """Each option of ``command``: its flag's value if given, else its
+    config-file value, else its default."""
+    options = _COMMANDS[command][2]
+    merged: dict[str, object] = {}
+    if args.config:
         try:
-            raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
+            raw = _read_json(args.config, "config file", DataError)
         except OSError as exc:
             raise DataError(f"cannot read config file: {exc}") from exc
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise DataError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise DataError("config file must hold a JSON object")
         for key, value in raw.items():
-            norm = key.replace("-", "_")
-            if norm not in table:
-                raise _UsageError(
-                    f"config key {key!r} is not an option of '{command}'"
-                )
-            _check_config_value(key, norm, value)
-            config[norm] = value
-    merged: dict[str, object] = {}
-    for name, (default, required) in table.items():
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            merged[name] = flag_value
-        elif name in config:
-            merged[name] = config[name]
-        else:
-            merged[name] = default
-        if required and merged[name] is None:
+            name = key.replace("-", "_")
+            if name not in options:
+                raise _UsageError(f"config key {key!r} is not an option of '{command}'")
+            merged[name] = _check_config_value(key, name, value)
+    merged.update((name, value) for name, value in vars(args).items() if name in options)
+    for name, default in options.items():
+        if merged.setdefault(name, default) is ...:
             raise _UsageError(f"--{name.replace('_', '-')} is required for '{command}'")
-    return RunConfig(command=command, options=merged)
+    return merged
 
 
 # --- helpers ----------------------------------------------------------------
 
-def _parse_model(token) -> str:
-    text = str(token)
-    spec_id = text if text.startswith("Model") else f"Model{text}"
-    if spec_id not in MODEL_SPECS:
-        raise _UsageError(f"--model must be one of 1..5 (or Model1..Model5), got {token!r}")
-    return spec_id
-
-
-def _parse_list(token, what: str, cast: Callable, kind: str) -> tuple:
-    if isinstance(token, (list, tuple)):
-        return tuple(cast(v) for v in token)
-    try:
-        return tuple(cast(tok) for tok in str(token).split(",") if tok.strip())
-    except ValueError:
-        raise _UsageError(f"--{what} must be a comma-separated {kind} list, got {token!r}")
-
-
 def _write_csv(path, header: list[str], rows) -> None:
-    with Path(str(path)).open("w", newline="", encoding="utf-8") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
-def _grid_from(cfg: RunConfig) -> GridSpec:
-    return GridSpec(
-        mtry_grid=(
-            _parse_list(cfg["mtry_grid"], "mtry-grid", int, "integer")
-            if cfg["mtry_grid"] else None
-        ),
-        sigma_grid=(
-            _parse_list(cfg["sigma_grid"], "sigma-grid", float, "number")
-            if cfg["sigma_grid"] else DEFAULT_SIGMA_GRID
-        ),
-        c_grid=(
-            _parse_list(cfg["c_grid"], "c-grid", float, "number")
-            if cfg["c_grid"] else DEFAULT_C_GRID
-        ),
-        cv_folds=int(cfg["folds"]),
-    )
+def _grid_from(cfg: dict) -> GridSpec:
+    grids = {name: cfg[name] for name in ("mtry_grid", "sigma_grid", "c_grid")
+             if cfg[name] is not None}
+    return GridSpec(cv_folds=cfg["folds"], **grids)
 
 
-def _parse_fractions(token) -> dict[str, float]:
-    dist: dict[str, float] = {}
-    parts = token.items() if isinstance(token, dict) else (
-        pair.split(":") for pair in str(token).split(",")
-    )
-    for item in parts:
-        if len(item) != 2:
-            raise _UsageError(f"--fractions entries must look like 'bin:prob', got {item!r}")
-        name, prob = item
-        name = name.strip()
-        if name not in FRACTION_CATEGORIES:
-            raise _UsageError(
-                f"unknown fraction bin {name!r}; expected one of {', '.join(FRACTION_CATEGORIES)}"
-            )
-        try:
-            dist[name] = float(prob)
-        except ValueError:
-            raise _UsageError(f"--fractions probability {prob!r} is not a number")
-    return dist
-
-
-def _parse_patch(token: str) -> PatchSpec:
-    parts = [p.strip() for p in token.split(",")]
-    if len(parts) not in (5, 6):
-        raise _UsageError(
-            f"--patch must be row,col,height,width,fraction[,endmember], got {token!r}"
-        )
-    try:
-        row, col, height, width = (int(p) for p in parts[:4])
-        fraction = float(parts[4])
-    except ValueError:
-        raise _UsageError(f"--patch has non-numeric fields: {token!r}")
-    if len(parts) == 6:
-        return PatchSpec(row, col, height, width, fraction, endmember=parts[5])
-    return PatchSpec(row, col, height, width, fraction)
+def _synth_config(cfg: dict, **kwargs) -> SynthConfig:
+    if cfg["endmembers"]:
+        kwargs["endmembers"] = load_endmembers(cfg["endmembers"])
+    return SynthConfig(seed=cfg["seed"], noise_sd=cfg["noise_sd"], **kwargs)
 
 
 def _load_pool(path: str, label: int, what: str) -> SampleTable:
@@ -369,60 +299,44 @@ def _load_pool(path: str, label: int, what: str) -> SampleTable:
 
 # --- command implementations -------------------------------------------------
 
-def _cmd_indices(cfg: RunConfig) -> None:
+def _cmd_indices(cfg: dict) -> None:
     stack = read_stack(cfg["in"])
     grid = compute_index_raster(stack, cfg["index"])
     out = BandStack(
         grids={cfg["index"]: grid},
         resolution_m=stack.resolution_m,
-        provenance=f"{cfg['index']} from {Path(str(cfg['in'])).name}",
+        provenance=f"{cfg['index']} from {Path(cfg['in']).name}",
     )
     write_stack(out, cfg["out"])
     print(f"wrote {cfg['out']} ({cfg['index']}, {grid.width}x{grid.height})")
 
 
-def _cmd_stretch(cfg: RunConfig) -> None:
+def _cmd_stretch(cfg: dict) -> None:
     stack = read_stack(cfg["in"])
     band_ids = [cfg["band"]] if cfg["band"] else list(stack.band_ids)
-    grids = {bid: histogram_stretch(stack.band(bid), float(cfg["p_low"]), float(cfg["p_high"]))
+    grids = {bid: histogram_stretch(stack.band(bid), cfg["p_low"], cfg["p_high"])
              for bid in band_ids}
     out = BandStack(
         grids=grids,
         resolution_m=stack.resolution_m,
-        provenance=f"stretch p{cfg['p_low']}-p{cfg['p_high']} of {Path(str(cfg['in'])).name}",
+        provenance=f"stretch p{cfg['p_low']}-p{cfg['p_high']} of {Path(cfg['in']).name}",
     )
     write_stack(out, cfg["out"])
     print(f"wrote {cfg['out']} ({len(band_ids)} band(s))")
 
 
-def _cmd_synth_data(cfg: RunConfig) -> None:
-    kwargs = {}
-    if cfg["endmembers"]:
-        kwargs["endmembers"] = load_endmembers(cfg["endmembers"])
-    if cfg["fractions"]:
-        kwargs["fraction_distribution"] = _parse_fractions(cfg["fractions"])
-    config = SynthConfig(
-        n_plastic=int(cfg["n_plastic"]), n_water=int(cfg["n_water"]),
-        seed=int(cfg["seed"]), noise_sd=float(cfg["noise_sd"]), **kwargs,
-    )
+def _cmd_synth_data(cfg: dict) -> None:
+    config = _synth_config(cfg, n_plastic=cfg["n_plastic"], n_water=cfg["n_water"],
+                           fraction_distribution=cfg["fractions"] or DEFAULT_FRACTIONS)
     table = gen_dataset(config)
     save_samples(table, cfg["out"])
     print(f"wrote {cfg['out']} ({config.n_plastic} plastic + {config.n_water} water)")
 
 
-def _cmd_synth_scene(cfg: RunConfig) -> None:
-    kwargs = {}
-    if cfg["endmembers"]:
-        kwargs["endmembers"] = load_endmembers(cfg["endmembers"])
-    config = SynthConfig(
-        n_plastic=0, n_water=0, seed=int(cfg["seed"]),
-        noise_sd=float(cfg["noise_sd"]), **kwargs,
-    )
-    raw_patches = cfg["patch"] or []
-    if isinstance(raw_patches, str):
-        raw_patches = [raw_patches]
-    patches = tuple(_parse_patch(tok) for tok in raw_patches)
-    stack, truth = gen_scene(config, int(cfg["width"]), int(cfg["height"]), patches)
+def _cmd_synth_scene(cfg: dict) -> None:
+    config = _synth_config(cfg, n_plastic=0, n_water=0)
+    patches = tuple(PatchSpec(*fields) for fields in cfg["patch"])
+    stack, truth = gen_scene(config, cfg["width"], cfg["height"], patches)
     write_stack(stack, cfg["out"])
     message = f"wrote {cfg['out']} ({stack.width}x{stack.height}, {len(patches)} patch(es))"
     if cfg["truth_out"]:
@@ -431,52 +345,30 @@ def _cmd_synth_scene(cfg: RunConfig) -> None:
     print(message)
 
 
-def _rf_hp_from(cfg: RunConfig, n_features: int) -> RFHyperParams:
-    hp = RFHyperParams.final_profile(n_features, seed=int(cfg["seed"]))
-    overrides = {}
-    for name in ("n_trees", "mtry", "max_depth", "min_samples_split", "min_samples_leaf",
-                 "max_leaf_nodes"):
-        if cfg[name] is not None:
-            overrides[name] = int(cfg[name])
-    return replace(hp, **overrides)
-
-
-def _svm_hp_from(cfg: RunConfig) -> SVMHyperParams:
-    hp = SVMHyperParams(seed=int(cfg["seed"]))
-    overrides = {}
-    if cfg["c"] is not None:
-        overrides["C"] = float(cfg["c"])
-    if cfg["sigma"] is not None:
-        overrides["sigma"] = float(cfg["sigma"])
-    if cfg["tolerance"] is not None:
-        overrides["tolerance"] = float(cfg["tolerance"])
-    if cfg["max_passes"] is not None:
-        overrides["max_passes"] = int(cfg["max_passes"])
-    return replace(hp, **overrides)
-
-
-def _cmd_train(cfg: RunConfig) -> None:
+def _cmd_train(cfg: dict) -> None:
     table = load_samples(cfg["samples"])
-    spec = MODEL_SPECS[_parse_model(cfg["model"])]
+    spec = MODEL_SPECS[cfg["model"]]
     if cfg["algo"] == "rf":
-        model = train_rf(table, spec, _rf_hp_from(cfg, spec.n_features))
-        summary = f"oob_error={format_value(model.oob_error)}"
+        hp, train = RFHyperParams.final_profile(spec.n_features, seed=cfg["seed"]), train_rf
+        names = ("n_trees", "mtry", "max_depth", "min_samples_split", "min_samples_leaf",
+                 "max_leaf_nodes")
     else:
-        model = train_svm(table, spec, _svm_hp_from(cfg))
-        summary = f"n_support={model.n_support}"
+        hp, train = SVMHyperParams(seed=cfg["seed"]), train_svm
+        names = ("c", "sigma", "tolerance", "max_passes")
+    model = train(table, spec, replace(hp, **{"C" if name == "c" else name: cfg[name]
+                                             for name in names if cfg[name] is not None}))
+    summary = (f"oob_error={format_value(model.oob_error)}" if cfg["algo"] == "rf"
+               else f"n_support={model.n_support}")
     save_model(model, cfg["out"])
     print(f"wrote {cfg['out']} ({cfg['algo']} {spec.spec_id}, {summary})")
 
 
-def _cmd_tune(cfg: RunConfig) -> None:
+def _cmd_tune(cfg: dict) -> None:
     table = load_samples(cfg["samples"])
-    spec = MODEL_SPECS[_parse_model(cfg["model"])]
-    grid = _grid_from(cfg)
-    rf_base = RFHyperParams(n_trees=int(cfg["n_trees"]), seed=int(cfg["seed"]))
-    svm_base = SVMHyperParams(seed=int(cfg["seed"]))
     result = grid_search(
-        table, spec, cfg["algo"], grid, int(cfg["seed"]),
-        rf_base=rf_base, svm_base=svm_base,
+        table, MODEL_SPECS[cfg["model"]], cfg["algo"], _grid_from(cfg), cfg["seed"],
+        rf_base=RFHyperParams(n_trees=cfg["n_trees"], seed=cfg["seed"]),
+        svm_base=SVMHyperParams(seed=cfg["seed"]),
     )
     searched = result.cv_table[0].params
     print("best: " + " ".join(f"{k}={getattr(result.best, k)!r}" for k in searched))
@@ -492,7 +384,7 @@ def _cmd_tune(cfg: RunConfig) -> None:
         print(f"wrote {cfg['out']}")
 
 
-def _cmd_predict_scene(cfg: RunConfig) -> None:
+def _cmd_predict_scene(cfg: dict) -> None:
     stack = read_stack(cfg["in"])
     model = load_model(cfg["model_file"])
     labels = classify_scene(stack, model)
@@ -507,7 +399,7 @@ def _labels_by_key(table: SampleTable) -> dict[tuple, int]:
     return {sample.key(): sample.label for sample in table.rows}
 
 
-def _cmd_evaluate(cfg: RunConfig) -> None:
+def _cmd_evaluate(cfg: dict) -> None:
     pred = _labels_by_key(load_samples(cfg["pred"]))
     truth = _labels_by_key(load_samples(cfg["truth"]))
     if set(pred) != set(truth):
@@ -530,13 +422,12 @@ def _cmd_evaluate(cfg: RunConfig) -> None:
         print(f"wrote {cfg['out']}")
 
 
-def _cmd_matrix(cfg: RunConfig) -> None:
-    plastic = _load_pool(str(cfg["plastic"]), PLASTIC, "plastic")
-    water = _load_pool(str(cfg["water"]), WATER, "water")
-    grid = _grid_from(cfg)
+def _cmd_matrix(cfg: dict) -> None:
+    plastic = _load_pool(cfg["plastic"], PLASTIC, "plastic")
+    water = _load_pool(cfg["water"], WATER, "water")
     matrix = run_matrix(
-        plastic, water, grid, int(cfg["seed"]), jobs=int(cfg["jobs"]),
-        rf_base=RFHyperParams(n_trees=int(cfg["n_trees"])),
+        plastic, water, _grid_from(cfg), cfg["seed"], jobs=cfg["jobs"],
+        rf_base=RFHyperParams(n_trees=cfg["n_trees"]),
     )
     export_matrix(matrix, cfg["out"])
     failed = [c for c in matrix.cells if c.error]
@@ -544,14 +435,13 @@ def _cmd_matrix(cfg: RunConfig) -> None:
     for cell in failed:
         print(f"  {cell.model_id}/{cell.test_case_id}/{cell.algo}: {cell.error}")
     if cfg["text_out"]:
-        Path(str(cfg["text_out"])).write_text(render_matrix_text(matrix), encoding="utf-8")
+        Path(cfg["text_out"]).write_text(render_matrix_text(matrix), encoding="utf-8")
         print(f"wrote {cfg['text_out']}")
 
 
-def _cmd_profile(cfg: RunConfig) -> None:
+def _cmd_profile(cfg: dict) -> None:
     table = load_samples(cfg["samples"])
-    bands = tuple(tok.strip() for tok in str(cfg["bands"]).split(",") if tok.strip())
-    profile = spectral_profile(table, bands)
+    profile = spectral_profile(table, cfg["bands"] or ())
     _write_csv(cfg["out"], ["category", "count", "band", "mean_reflectance"], [
         [category, profile.counts[gi], band_id, repr(float(profile.means[gi, bi]))]
         for gi, category in enumerate(profile.categories)
@@ -560,17 +450,42 @@ def _cmd_profile(cfg: RunConfig) -> None:
     print(f"wrote {cfg['out']} ({len(profile.categories)} bins x {len(profile.bands)} bands)")
 
 
-_HANDLERS: dict[str, Callable[[RunConfig], None]] = {
-    "indices": _cmd_indices,
-    "stretch": _cmd_stretch,
-    "synth-data": _cmd_synth_data,
-    "synth-scene": _cmd_synth_scene,
-    "train": _cmd_train,
-    "tune": _cmd_tune,
-    "predict-scene": _cmd_predict_scene,
-    "evaluate": _cmd_evaluate,
-    "matrix": _cmd_matrix,
-    "profile": _cmd_profile,
+# Each subcommand: its help, its handler, and its options with their defaults.
+# Defaults live here, not in argparse, so config-file values can sit between
+# flags and defaults; ``...`` marks an option that has none and must be given.
+_GRID = {"mtry_grid": None, "sigma_grid": None, "c_grid": None, "n_trees": 500}
+_COMMANDS: dict[str, tuple[str, Callable[[dict], None], dict[str, object]]] = {
+    "indices": ("compute a spectral-index raster from a band stack", _cmd_indices,
+                {"in": ..., "out": ..., "index": ...}),
+    "stretch": ("percentile-stretch bands onto [0, 1] for display", _cmd_stretch,
+                {"in": ..., "out": ..., "band": None, "p_low": 2.0, "p_high": 98.0}),
+    "synth-data": ("generate a synthetic labelled sample pool CSV", _cmd_synth_data, {
+        "out": ..., "n_plastic": 54, "n_water": 270, "noise_sd": 0.005, "seed": 0,
+        "endmembers": None, "fractions": None,
+    }),
+    "synth-scene": ("generate a synthetic scene raster and truth map", _cmd_synth_scene, {
+        "out": ..., "truth_out": None, "width": 64, "height": 64, "noise_sd": 0.005, "seed": 0,
+        "endmembers": None, "patch": (),
+    }),
+    "train": ("train one classifier on a sample CSV", _cmd_train, {
+        "samples": ..., "model": ..., "algo": ..., "out": ..., "seed": 0,
+        **dict.fromkeys(("n_trees", "mtry", "max_depth", "min_samples_split",
+                         "min_samples_leaf", "max_leaf_nodes", "c", "sigma", "tolerance",
+                         "max_passes")),
+    }),
+    "tune": ("grid-search hyperparameters with stratified CV", _cmd_tune, {
+        "samples": ..., "model": ..., "algo": ..., "seed": 0, "folds": 5, "out": None, **_GRID,
+    }),
+    "predict-scene": ("classify every pixel of a stack with a saved model", _cmd_predict_scene,
+                      {"in": ..., "model_file": ..., "out": ...}),
+    "evaluate": ("score predicted labels against truth labels", _cmd_evaluate,
+                 {"pred": ..., "truth": ..., "out": None}),
+    "matrix": ("run the feature-set x test-case x algorithm grid", _cmd_matrix, {
+        "plastic": ..., "water": ..., "out": ..., "seed": 0, "jobs": 1, "folds": 5, **_GRID,
+        "text_out": None,
+    }),
+    "profile": ("per-band mean reflectance by plastic-coverage bin", _cmd_profile,
+                {"samples": ..., "out": ..., "bands": ("B4", "B6", "B8", "B11")}),
 }
 
 
@@ -580,8 +495,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if not args.command:
             raise _UsageError(f"a subcommand is required\n{parser.format_usage()}")
-        cfg = _merge_options(args.command, args, args.config)
-        _HANDLERS[args.command](cfg)
+        _COMMANDS[args.command][1](_merge_options(args.command, args))
         return 0
     except _UsageError as exc:
         print(f"plastiscan: {exc}", file=sys.stderr)

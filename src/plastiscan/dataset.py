@@ -15,6 +15,7 @@ class's canonical rows by a seeded permutation (``_class_ranks``).
 from __future__ import annotations
 
 import csv
+import io
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -193,75 +194,91 @@ def _parse_optional(token: str, cast: Callable[[str], float], what: str, where: 
         raise InvalidSampleError(f"{where}: bad {what} {token!r}") from None
 
 
+def _csv_records(path: Path) -> Iterator[list[str]]:
+    """The CSV records of the file at ``path``.  Bytes that are not UTF-8, or
+    a record the csv module cannot read (a field over its size limit, say),
+    raise SchemaMismatchError naming the file and the line."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise SchemaMismatchError(f"{path.name}:{line}: not UTF-8 text ({exc.reason})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise SchemaMismatchError(f"{path.name}:{reader.line_num}: {exc}") from None
+
+
 def load_samples(path: str | Path) -> SampleTable:
     """Load a sample table; see the module docstring for the schema."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            raw_header = next(reader)
-        except StopIteration:
-            raise SchemaMismatchError(f"{path.name}: file is empty") from None
-        header = [h.strip() for h in raw_header]
-        repeated = list(dict.fromkeys(c for i, c in enumerate(header) if c in header[:i]))
-        if repeated:
-            raise SchemaMismatchError(f"{path.name}: duplicate column(s) {', '.join(repeated)}")
-        missing = [c for c in SCHEMA_COLUMNS if c not in header]
-        if missing:
-            raise SchemaMismatchError(
-                f"{path.name}: missing column(s) {', '.join(missing)}"
-            )
-        extra_bands = [
-            c for c in header
-            if c not in SCHEMA_COLUMNS and _BAND_COLUMN_RE.match(c)
-        ]
-        unknown = [
-            c for c in header
-            if c not in SCHEMA_COLUMNS and c not in extra_bands
-        ]
-        if unknown:
-            raise SchemaMismatchError(
-                f"{path.name}: unexpected column(s) {', '.join(unknown)}"
-            )
-        col_of = {c: i for i, c in enumerate(header)}
-        band_columns = list(_CORE_BAND_COLUMNS) + extra_bands
+    reader = _csv_records(path)
+    try:
+        raw_header = next(reader)
+    except StopIteration:
+        raise SchemaMismatchError(f"{path.name}: file is empty") from None
+    header = [h.strip() for h in raw_header]
+    repeated = list(dict.fromkeys(c for i, c in enumerate(header) if c in header[:i]))
+    if repeated:
+        raise SchemaMismatchError(f"{path.name}: duplicate column(s) {', '.join(repeated)}")
+    missing = [c for c in SCHEMA_COLUMNS if c not in header]
+    if missing:
+        raise SchemaMismatchError(
+            f"{path.name}: missing column(s) {', '.join(missing)}"
+        )
+    extra_bands = [
+        c for c in header
+        if c not in SCHEMA_COLUMNS and _BAND_COLUMN_RE.match(c)
+    ]
+    unknown = [
+        c for c in header
+        if c not in SCHEMA_COLUMNS and c not in extra_bands
+    ]
+    if unknown:
+        raise SchemaMismatchError(
+            f"{path.name}: unexpected column(s) {', '.join(unknown)}"
+        )
+    col_of = {c: i for i, c in enumerate(header)}
+    band_columns = list(_CORE_BAND_COLUMNS) + extra_bands
 
-        samples: list[Sample] = []
-        for lineno, record in enumerate(reader, start=2):
-            if not record or all(tok.strip() == "" for tok in record):
-                continue
-            if len(record) != len(header):
-                raise SchemaMismatchError(
-                    f"{path.name}:{lineno}: expected {len(header)} fields, got {len(record)}"
-                )
-            where = f"{path.name}:{lineno}"
-            reflectance: dict[str, float] = {}
-            for column in band_columns:
-                token = record[col_of[column]].strip()
-                try:
-                    reflectance[_column_to_band(column)] = float(token)
-                except ValueError:
-                    raise NonNumericReflectanceError(
-                        f"{where}: column {column} value {token!r} is not numeric"
-                    ) from None
-            label_token = record[col_of["label"]].strip().lower()
-            if label_token not in _LABEL_TOKENS:
-                raise BadLabelError(f"{where}: unknown label {label_token!r}")
-            samples.append(
-                Sample(
-                    site=record[col_of["site"]].strip(),
-                    date=record[col_of["date"]].strip(),
-                    row=_parse_optional(record[col_of["row"]], int, "row", where),
-                    col=_parse_optional(record[col_of["col"]], int, "col", where),
-                    lat=_parse_optional(record[col_of["lat"]], float, "lat", where),
-                    lon=_parse_optional(record[col_of["lon"]], float, "lon", where),
-                    spectrum=PixelSpectrum(reflectance),
-                    label=_LABEL_TOKENS[label_token],
-                    plastic_fraction=_parse_optional(
-                        record[col_of["plastic_fraction"]], float, "plastic_fraction", where
-                    ),
-                )
+    samples: list[Sample] = []
+    for lineno, record in enumerate(reader, start=2):
+        if not record or all(tok.strip() == "" for tok in record):
+            continue
+        if len(record) != len(header):
+            raise SchemaMismatchError(
+                f"{path.name}:{lineno}: expected {len(header)} fields, got {len(record)}"
             )
+        where = f"{path.name}:{lineno}"
+        reflectance: dict[str, float] = {}
+        for column in band_columns:
+            token = record[col_of[column]].strip()
+            try:
+                reflectance[_column_to_band(column)] = float(token)
+            except ValueError:
+                raise NonNumericReflectanceError(
+                    f"{where}: column {column} value {token!r} is not numeric"
+                ) from None
+        label_token = record[col_of["label"]].strip().lower()
+        if label_token not in _LABEL_TOKENS:
+            raise BadLabelError(f"{where}: unknown label {label_token!r}")
+        samples.append(
+            Sample(
+                site=record[col_of["site"]].strip(),
+                date=record[col_of["date"]].strip(),
+                row=_parse_optional(record[col_of["row"]], int, "row", where),
+                col=_parse_optional(record[col_of["col"]], int, "col", where),
+                lat=_parse_optional(record[col_of["lat"]], float, "lat", where),
+                lon=_parse_optional(record[col_of["lon"]], float, "lon", where),
+                spectrum=PixelSpectrum(reflectance),
+                label=_LABEL_TOKENS[label_token],
+                plastic_fraction=_parse_optional(
+                    record[col_of["plastic_fraction"]], float, "plastic_fraction", where
+                ),
+            )
+        )
     if not samples:
         raise EmptyInputError(f"{path.name}: no sample rows")
     return SampleTable(tuple(samples))

@@ -10,6 +10,7 @@ families onto distinct exit codes.
 from __future__ import annotations
 
 import functools
+import json
 import os
 import sys
 
@@ -25,6 +26,20 @@ def _outside_stacklevel() -> int:
     while frame is not None and frame.f_code.co_filename.startswith(_PASSED):
         frame, level = frame.f_back, level + 1
     return level
+
+
+def _read_json(path, what: str, error: type[DataError], too_deep: type[DataError] | None = None):
+    """The JSON document in the file at ``path``.  Text that is not UTF-8 JSON
+    raises ``error``, and nesting too deep to parse ``too_deep`` (by default
+    ``error``), each with a message that starts with the file's name."""
+    name = os.path.basename(path)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.loads(fh.read())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise error(f"{name}: {what} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise (too_deep or error)(f"{name}: {what} nests too deeply to read") from exc
 
 
 class PlastiscanError(Exception):

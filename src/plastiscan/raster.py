@@ -26,6 +26,7 @@ from .errors import (
     MissingBandError,
     TruncatedPayloadError,
     UnknownBandError,
+    _read_json,
 )
 from .spectra import (
     BAND_ORDER,
@@ -258,10 +259,7 @@ def _require(header: Mapping, key: str, kind: type, what: str):
 def read_stack(path: str | Path) -> BandStack:
     """Read a bsqf/1 container; see :func:`write_stack` for the layout."""
     header_path = Path(path)
-    try:
-        header = json.loads(header_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise MalformedHeaderError(f"header is not valid JSON: {exc}") from exc
+    header = _read_json(header_path, "header", MalformedHeaderError)
     if not isinstance(header, dict):
         raise MalformedHeaderError("header must be a JSON object")
 

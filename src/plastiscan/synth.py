@@ -22,6 +22,7 @@ from .errors import (
     InvalidSampleError,
     MissingBandError,
     PatchOutOfBoundsError,
+    _read_json,
 )
 from .dataset import FRACTION_CATEGORIES, Sample, SampleTable, _CATEGORY_EDGES
 from .raster import BandStack, Grid, LabelGrid
@@ -100,10 +101,13 @@ class Endmember:
 
 def load_endmembers(path: str | Path) -> dict[str, Endmember]:
     """Read an endmember table ``{"endmembers": {name: {band: value}}}``."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    table = doc.get("endmembers")
+    doc = _read_json(path, "endmember table", DataError)
+    table = doc.get("endmembers") if isinstance(doc, dict) else None
     if not isinstance(table, dict) or not table:
         raise DataError(f"{Path(path).name}: missing non-empty 'endmembers' object")
+    for name, spec in table.items():
+        if not isinstance(spec, dict) or not all(type(v) in (int, float) for v in spec.values()):
+            raise DataError(f"{Path(path).name}: endmember {name!r} must be an object of numbers")
     members = {name: Endmember(name, spec) for name, spec in table.items()}
     if WATER_ENDMEMBER not in members:
         raise DataError(f"{Path(path).name}: endmember table needs a 'water' entry")

@@ -114,8 +114,7 @@ COMMANDS = ("indices", "stretch", "synth-data", "synth-scene", "train", "tune",
             "predict-scene", "evaluate", "matrix", "profile")
 
 # argv, and the subcommand that main parses it with alone (None: the full
-# parser; ...: either, as argparse's reading of "--" before a subcommand
-# differs between Python versions)
+# parser)
 PARSER_CASES = [
     (["--help"], None),
     (["-h", "predict-scene"], None),
@@ -132,8 +131,8 @@ PARSER_CASES = [
     (["predict-scene", "--in", "a.json", "--bogus"], "predict-scene"),
     (["train", "--algo", "xgb"], "train"),
     (["matrix", "--version"], "matrix"),
-    (["--", "evaluate", "-h"], ...),
-    (["--config", "cfg.json", "--", "evaluate"], ...),
+    (["--", "evaluate", "-h"], "evaluate"),
+    (["--config", "cfg.json", "--", "evaluate"], "evaluate"),
     (["--version"], None),
     (["--vers"], None),
 ]
@@ -155,8 +154,7 @@ class TestParserEquivalence:
     def test_same_as_full_parser(self, capsys, monkeypatch, tmp_path, argv, command):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cfg.json").write_text('{"in": "missing.json"}', encoding="utf-8")
-        if command is not ...:
-            assert cli._find_command(argv) == command
+        assert cli._find_command(argv) == command
         got = outcome(capsys, argv)
         monkeypatch.setattr(cli, "_find_command", lambda argv: None)
         assert outcome(capsys, argv) == got
@@ -607,3 +605,160 @@ class TestProfile:
         with out_path.open(newline="") as fh:
             body = list(csv.reader(fh))[1:]
         assert {r[2] for r in body} == {"B2", "B8A"}
+
+
+class TestOptionValues:
+    """Flags and config values parse alike, before any input file is read."""
+
+    RF_OPTIONS = {"n_trees": 9, "mtry": 2, "max_depth": 4, "min_samples_split": 3,
+                  "min_samples_leaf": 2, "max_leaf_nodes": 7, "seed": 3}
+    SVM_OPTIONS = {"c": 4, "sigma": 0.05, "tolerance": 0.001, "max_passes": 200, "seed": 2}
+
+    def train_three_ways(self, capsys, tmp_path, pool_csv, algo, options):
+        base = ["train", "--samples", str(pool_csv), "--model", "3", "--algo", algo]
+        flags = [token for name, value in options.items()
+                 for token in ("--" + name.replace("_", "-"), str(value))]
+        paths = [tmp_path / f"{algo}-{way}.json" for way in ("flags", "typed", "strings")]
+        configs = [options, {name: str(value) for name, value in options.items()}]
+        code, _, err = run(capsys, *base, *flags, "--out", str(paths[0]))
+        assert code == 0, err
+        for path, config in zip(paths[1:], configs):
+            config_path = path.with_suffix(".cfg.json")
+            config_path.write_text(json.dumps(config), encoding="utf-8")
+            code, _, err = run(capsys, "--config", str(config_path), *base, "--out", str(path))
+            assert code == 0, err
+        assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+        return load_model(paths[1])
+
+    def test_train_rf_flags_and_config_values_agree(self, capsys, tmp_path, pool_csv):
+        model = self.train_three_ways(capsys, tmp_path, pool_csv, "rf", self.RF_OPTIONS)
+        assert model.hyperparams.max_leaf_nodes == 7 and model.hyperparams.seed == 3
+
+    def test_train_svm_flags_and_config_values_agree(self, capsys, tmp_path, pool_csv):
+        model = self.train_three_ways(capsys, tmp_path, pool_csv, "svm", self.SVM_OPTIONS)
+        assert model.hyperparams.C == 4.0 and type(model.hyperparams.C) is float
+
+    @pytest.mark.parametrize("algo, grids", [
+        ("rf", {"mtry_grid": [1, 2]}),
+        ("svm", {"sigma_grid": [0.03, 0.09], "c_grid": [2, 10]}),
+    ])
+    def test_tune_grids_as_lists_and_strings_agree(self, capsys, tmp_path, pool_csv,
+                                                   algo, grids):
+        outputs = []
+        for way, config in (("lists", grids), ("strings", {
+                name: ",".join(map(str, values)) for name, values in grids.items()})):
+            config_path = tmp_path / f"{way}.json"
+            config_path.write_text(json.dumps(config), encoding="utf-8")
+            out = tmp_path / f"cv-{way}.csv"
+            code, _, err = run(capsys, "--config", str(config_path), "tune",
+                               "--samples", str(pool_csv), "--model", "2", "--algo", algo,
+                               "--folds", "2", "--n-trees", "5", "--out", str(out))
+            assert code == 0, err
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 1 + np.prod([len(v) for v in grids.values()])
+
+    @pytest.mark.parametrize("option, message", [
+        (["--model", "7"], "--model must be one of 1..5 (or Model1..Model5), got '7'"),
+        (["--model", "2", "--mtry-grid", "1,x"],
+         "--mtry-grid must be a comma-separated integer list, got '1,x'"),
+    ])
+    def test_bad_value_reported_before_reading_files(self, capsys, tmp_path, option, message):
+        code, _, err = run(capsys, "tune", "--samples", str(tmp_path / "absent.csv"),
+                           "--algo", "rf", *option)
+        assert (code, err) == (1, f"plastiscan: {message}\n")
+
+    def test_dashdash_before_command_runs_it(self, capsys):
+        code, out, _ = outcome(capsys, ["--", "evaluate", "-h"])
+        assert code == 0
+        assert out.startswith("usage: plastiscan evaluate")
+
+
+def deep_json(depth=100_000):
+    return "[" * depth + "]" * depth
+
+
+def endmember_doc(**water):
+    water_bands = {"B2": 0.05, "B3": 0.04, "B4": 0.03, "B6": 0.02, "B8": 0.01, "B11": 0.005}
+    plastic = {"B2": 0.1, "B3": 0.1, "B4": 0.1, "B6": 0.1, "B8": 0.3, "B11": 0.2}
+    return json.dumps({"endmembers": {"water": {**water_bands, **water},
+                                      "plastic_bottle": plastic}})
+
+
+# (file name, its content, and the argv that reads it); {path} is the file
+MALFORMED_FILES = [
+    ("samples.csv", (CSV_HEADER + "\nbeirut,2018-11-02,0,0,,,0.1,0.1,0.2,0.1,pl\xffstic,\n"
+                     ).encode("latin-1"),
+     ["profile", "--samples", "{path}", "--out", "p.csv"]),
+    ("samples.csv", (CSV_HEADER + '\n"' + "s" * 131_073 + '",2018-11-02,0,0,,,0.1,0.1,0.2,0.1,'
+                     "plastic,\n").encode(),
+     ["profile", "--samples", "{path}", "--out", "p.csv"]),
+    ("cfg.json", deep_json().encode(), ["--config", "{path}", "synth-data", "--out", "p.csv"]),
+    ("scene.json", deep_json().encode(),
+     ["predict-scene", "--in", "{path}", "--model-file", "m.json", "--out", "l.pgm"]),
+    ("model.json", deep_json().encode(),
+     ["predict-scene", "--in", "{scene}", "--model-file", "{path}", "--out", "l.pgm"]),
+    ("members.json", deep_json().encode(),
+     ["synth-data", "--endmembers", "{path}", "--out", "p.csv"]),
+    ("members.json", b"{oops", ["synth-data", "--endmembers", "{path}", "--out", "p.csv"]),
+    ("members.json", b'{"endmembers": {"water": {"B8": 0.01\xff}}}',
+     ["synth-data", "--endmembers", "{path}", "--out", "p.csv"]),
+    ("members.json", b"[1]", ["synth-data", "--endmembers", "{path}", "--out", "p.csv"]),
+    ("members.json", b'{"endmembers": {"water": 5, "plastic_bottle": {}}}',
+     ["synth-data", "--endmembers", "{path}", "--out", "p.csv"]),
+    ("members.json", endmember_doc(B3=None).encode(),
+     ["synth-scene", "--endmembers", "{path}", "--out", "s.json"]),
+    ("members.json", endmember_doc(B3="x").encode(),
+     ["synth-scene", "--endmembers", "{path}", "--out", "s.json"]),
+]
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("name, content, argv", MALFORMED_FILES, ids=[
+        "csv-not-utf8", "csv-field-too-large", "config-deep", "header-deep", "model-deep",
+        "endmembers-deep", "endmembers-not-json", "endmembers-not-utf8",
+        "endmembers-not-object", "endmember-not-object", "reflectance-null", "reflectance-text",
+    ])
+    def test_data_error_names_the_file(self, capsys, monkeypatch, tmp_path, scene_files,
+                                       name, content, argv):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / name
+        path.write_bytes(content)
+        argv = [token.format(path=path, scene=scene_files[0]) for token in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == 2, err
+        assert err.startswith(f"plastiscan: {name}:")
+
+    def test_line_of_bad_csv_byte(self, capsys, tmp_path):
+        path = write_labeled_csv(tmp_path / "pool.csv", [PLASTIC, WATER, WATER])
+        path.write_bytes(path.read_bytes().replace(b"water", b"w\x80ter", 1))
+        code, _, err = run(capsys, "profile", "--samples", str(path),
+                           "--out", str(tmp_path / "p.csv"))
+        assert (code, err) == (2, "plastiscan: pool.csv:3: not UTF-8 text (invalid start byte)\n")
+
+    def test_endmember_message_names_the_member(self, capsys, tmp_path):
+        path = tmp_path / "members.json"
+        path.write_text(endmember_doc(B3="x"), encoding="utf-8")
+        code, _, err = run(capsys, "synth-data", "--endmembers", str(path),
+                           "--out", str(tmp_path / "p.csv"))
+        assert (code, err) == (
+            2, "plastiscan: members.json: endmember 'water' must be an object of numbers\n")
+
+
+class TestEntryPointArgv:
+    """main() with no argv reads sys.argv, as the installed console script does."""
+
+    def test_dashdash_help(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["plastiscan", "--", "evaluate", "-h"])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 0
+        assert "usage: plastiscan evaluate" in capsys.readouterr().out
+
+    def test_bad_config_is_data_error(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_text("{oops", encoding="utf-8")
+        monkeypatch.setattr("sys.argv", ["plastiscan", "--config", "bad.json",
+                                         "synth-data", "--out", "x.csv"])
+        assert main() == 2
+        assert "bad.json: config file is not valid JSON" in capsys.readouterr().err
