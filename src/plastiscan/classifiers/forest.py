@@ -21,9 +21,11 @@ tree; a tree comes out as it would if grown alone.
 
 Out-of-bag votes give the error curve and fuel permutation importances (mean
 decrease in OOB accuracy), worked out on first read, so that fits which only
-predict never pay for them.  Trees of up to 12 splits predict through a lookup
-table of plastic votes built once per tree (see ``_Tree``); deeper trees walk
-level by level.
+predict never pay for them.  One level walk (``_walk``) moves any set of
+(tree, row) pairs through the forest's joined nodes at once; it serves the
+OOB scores and small batches.  Batches of ``_TABLE_MIN_ROWS`` rows or more
+go through per-tree lookup tables of plastic votes, compiled on first use,
+for the trees of up to 12 splits, and walk only the deeper trees.
 """
 
 from __future__ import annotations
@@ -114,105 +116,63 @@ class RFHyperParams:
         )
 
 
-# Trees with at most this many split nodes predict through a lookup table of
-# 2**m entries; deeper ones, which only unbounded growth produces, walk.
+class _Tree(NamedTuple):
+    """One tree's node arrays in preorder, children counted from the root and
+    feature -1 marking a leaf, which votes for the majority of its (plastic,
+    water) ``counts``, ties to plastic.  ``in_bag`` is the bootstrap draw
+    (None for a tree read from a file)."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    counts: np.ndarray
+    in_bag: np.ndarray | None
+
+
+# Trees with at most this many split nodes predict a large batch through a
+# lookup table of 2**m entries; deeper ones, which only unbounded growth
+# produces, walk.
 _TABLE_MAX_SPLITS = 12
 
+# Batches of fewer rows walk every tree: below this, compiling the tables on
+# first use costs more than walking (measured on final_profile and 500-tree
+# unbounded forests).
+_TABLE_MIN_ROWS = 512
 
-class _Tree:
-    """Flat-array decision tree; feature == -1 marks a leaf.
+# (tree, row) pairs walked at once at most, in blocks of whole trees: a bound
+# on the walk's temporaries (about 100 bytes a pair).
+_WALK_PAIRS = 1 << 16
 
-    A tree with m <= _TABLE_MAX_SPLITS split nodes is also compiled, once, to
-    a lookup table in the manner of QuickScorer (Lucchese et al., SIGIR 2015):
-    a row's m split outcomes, read as an m-bit code, index the plastic vote
-    (1 plastic, 0 water) of the leaf it reaches.
-    """
 
-    __slots__ = (
-        "feature", "threshold", "left", "right", "counts", "leaf_class", "in_bag",
-        "_splits", "_table",
-    )
+def _compile(tree: _Tree):
+    """A tree's QuickScorer lookup table (Lucchese et al., SIGIR 2015) as
+    ``(splits, table)``, or None past :data:`_TABLE_MAX_SPLITS` splits.
 
-    def __init__(self, feature, threshold, left, right, counts, in_bag):
-        self.feature = np.asarray(feature, dtype=np.int64)
-        self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.int64)
-        self.right = np.asarray(right, dtype=np.int64)
-        self.counts = np.asarray(counts, dtype=np.int64)  # (nodes, 2): plastic, water
-        # leaf majority with ties toward plastic
-        self.leaf_class = np.where(
-            self.counts[:, 0] >= self.counts[:, 1], PLASTIC, WATER
-        ).astype(np.int64)
-        self.in_bag = None if in_bag is None else np.asarray(in_bag, dtype=np.int64)
-        self._splits, self._table = self._compile()
-
-    @property
-    def n_leaves(self) -> int:
-        return int((self.feature < 0).sum())
-
-    def _compile(self):
-        """``(splits, table)``, or ``(None, None)`` past the size limit.
-
-        Split node k (in node order) gives bit k of the code, counted from
-        the most significant of m: set when the row goes left.  A leaf fixes
-        the bits on its path and leaves the others free, so the leaves fill
-        all 2**m codes between them, with no walk per code.  The table holds
-        each code's plastic vote as a uint8.
-        """
-        feature = self.feature.tolist()
-        internal = [node for node, f in enumerate(feature) if f >= 0]
-        m = len(internal)
-        if m > _TABLE_MAX_SPLITS:
-            return None, None
-        bit = {node: k for k, node in enumerate(internal)}
-        left, right = self.left.tolist(), self.right.tolist()
-        vote = (self.leaf_class == PLASTIC).tolist()
-        table = np.empty((2,) * m, dtype=np.uint8)  # axis k = bit k
-        stack = [(0, (slice(None),) * m)]
-        while stack:
-            node, codes = stack.pop()
-            if feature[node] < 0:
-                table[codes] = vote[node]
-                continue
-            k = bit[node]
-            stack.append((left[node], codes[:k] + (1,) + codes[k + 1:]))
-            stack.append((right[node], codes[:k] + (0,) + codes[k + 1:]))
-        splits = [(feature[node], self.threshold[node]) for node in internal]
-        return splits, table.reshape(-1)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Leaf class of each row of ``X`` (n, n_features)."""
-        return np.where(self._plastic(X), PLASTIC, WATER)
-
-    def _plastic(self, X: np.ndarray) -> np.ndarray:
-        """Per row of ``X``, nonzero where its leaf is plastic: the table's
-        uint8 vote, or a bool from the walk past the table's size limit.
-
-        Each split reads one column, so a Fortran-ordered ``X`` is fastest.
-        The code is built in place: adding it to itself shifts it left, and
-        the split's outcome fills the new low bit.
-        """
-        if self._table is None:
-            return self._walk(X) == PLASTIC
-        code = np.zeros(len(X), dtype=np.uint8 if len(self._splits) <= 8 else np.uint16)
-        goes_left = np.empty(len(X), dtype=bool)
-        for f, t in self._splits:
-            np.add(code, code, out=code)
-            np.less_equal(X[:, f], t, out=goes_left)  # false for NaN: it goes right
-            code |= goes_left
-        return np.take(self._table, code)
-
-    def _walk(self, X: np.ndarray) -> np.ndarray:
-        cur = np.zeros(len(X), dtype=np.int64)
-        while True:
-            feats = self.feature[cur]
-            active = np.nonzero(feats >= 0)[0]
-            if active.size == 0:
-                break
-            node = cur[active]
-            go_left = X[active, self.feature[node]] <= self.threshold[node]
-            cur[active] = np.where(go_left, self.left[node], self.right[node])
-        return self.leaf_class[cur]
+    Split node k of m, in node order, sets bit m - 1 - k of a row's code when
+    the row goes left; ``table[code]`` is the plastic vote (a uint8) of the
+    leaf it reaches.  A leaf fixes the bits on its path and leaves the others
+    free, so the leaves fill all 2**m codes between them."""
+    feature = tree.feature.tolist()
+    internal = [node for node, f in enumerate(feature) if f >= 0]
+    m = len(internal)
+    if m > _TABLE_MAX_SPLITS:
+        return None
+    bit = {node: k for k, node in enumerate(internal)}
+    left, right = tree.left.tolist(), tree.right.tolist()
+    vote = (tree.counts[:, 0] >= tree.counts[:, 1]).tolist()
+    table = np.empty((2,) * m, dtype=np.uint8)  # axis k = bit k
+    stack = [(0, (slice(None),) * m)]
+    while stack:
+        node, codes = stack.pop()
+        if feature[node] < 0:
+            table[codes] = vote[node]
+            continue
+        k = bit[node]
+        stack.append((left[node], codes[:k] + (1,) + codes[k + 1:]))
+        stack.append((right[node], codes[:k] + (0,) + codes[k + 1:]))
+    splits = [(feature[node], tree.threshold[node]) for node in internal]
+    return splits, table.reshape(-1)
 
 
 def _gini(p: np.ndarray) -> np.ndarray:
@@ -362,16 +322,12 @@ def _forest_trees(feature, threshold, left, right, counts, sizes, in_bags) -> li
     slices of them.  Trained and loaded trees are both made here, so a tree
     read back from its file equals the one that was grown, field by field.
     """
-    feature = np.asarray(feature, dtype=np.int64)
-    threshold = np.asarray(threshold, dtype=np.float64)
-    left = np.asarray(left, dtype=np.int64)
-    right = np.asarray(right, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64).reshape(-1, 2)
+    arrays = [np.asarray(values, dtype=np.int64) for values in (feature, left, right, counts)]
+    arrays.insert(1, np.asarray(threshold, dtype=np.float64))
+    arrays[-1] = arrays[-1].reshape(-1, 2)
     ends = np.cumsum(sizes).tolist()
-    return [
-        _Tree(feature[lo:hi], threshold[lo:hi], left[lo:hi], right[lo:hi], counts[lo:hi], in_bag)
-        for lo, hi, in_bag in zip([0] + ends[:-1], ends, in_bags)
-    ]
+    return [_Tree(*(a[lo:hi] for a in arrays), in_bag)
+            for lo, hi, in_bag in zip([0] + ends[:-1], ends, in_bags)]
 
 
 def _splittable(hp: RFHyperParams, rows, counts, depth: int) -> bool:
@@ -553,9 +509,9 @@ def _grow_forest(X, is_plastic, hp: RFHyperParams) -> list[_Tree]:
 
 @dataclass(eq=False)
 class RFModel:
-    """Trained forest.  Its OOB diagnostics are worked out together when first
-    read, from the training (X, y) that :func:`train_rf` keeps beside the trees'
-    bootstrap records; a model loaded from disk holds its file's values instead."""
+    """Trained forest.  Its OOB diagnostics, joined nodes and lookup tables are
+    built when first read, the diagnostics from the training (X, y) that
+    :func:`train_rf` keeps; a model loaded from disk holds its file's values."""
 
     spec: FeatureSetSpec
     hyperparams: RFHyperParams
@@ -575,16 +531,49 @@ class RFModel:
     def _diagnostics(self) -> tuple[float, np.ndarray, np.ndarray]:
         if self._training is None:
             raise MissingOobRecordsError("model holds no OOB diagnostics and no training data")
-        X, y = self._training
-        oob = _oob_rows(self.trees, len(y))
-        curve = _oob_curve(self.trees, oob, X, y)
+        curve, importances = _oob_scores(self, *self._training)
         if math.isnan(curve[-1]):
             warnings.warn("no sample was ever out of bag; OOB error undefined",
                           stacklevel=_outside_stacklevel())
-        importances = _permutation_importance(
-            self.trees, oob, X, y, self.hyperparams.seed, self.spec.n_features
-        )
         return float(curve[-1]), curve, importances
+
+    @cached_property
+    def _nodes(self) -> tuple:
+        """The trees' nodes joined end to end: feature, threshold, the children
+        as forest-wide indices, each node's plastic vote, and each tree's root."""
+        feature, threshold, left, right, counts = map(np.concatenate, list(zip(*self.trees))[:5])
+        sizes = [len(tree.feature) for tree in self.trees]
+        root = np.cumsum(sizes) - sizes
+        base = np.repeat(root, sizes)
+        return feature, threshold, left + base, right + base, counts[:, 0] >= counts[:, 1], root
+
+    @cached_property
+    def _tables(self) -> list:
+        """Per tree, :func:`_compile`'s ``(splits, table)`` or None."""
+        return [_compile(tree) for tree in self.trees]
+
+
+def _walk(model: RFModel, X: np.ndarray, tree: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Per (tree, row) pair, whether the leaf ``X[row]`` reaches votes plastic.
+
+    All pairs move one level per step over the joined nodes (vectorised
+    traversal; Asadi, Lin & de Vries, IEEE TKDE 2014).  A row goes left where
+    its value is at most the threshold, so NaN goes right."""
+    feature, threshold, left, right, plastic, root = model._nodes
+    node = root[tree]
+    split = np.flatnonzero(feature[node] >= 0)
+    while split.size:
+        at = node[split]
+        go_left = X[row[split], feature[at]] <= threshold[at]
+        node[split] = np.where(go_left, left[at], right[at])
+        split = split[feature[node[split]] >= 0]
+    return plastic[node]
+
+
+def _blocks(trees: np.ndarray, n_rows: int):
+    """``trees`` cut into consecutive runs of about :data:`_WALK_PAIRS` pairs."""
+    step = max(1, _WALK_PAIRS // n_rows)
+    return (trees[at:at + step] for at in range(0, len(trees), step))
 
 
 def _check_mtry(mtry: int, spec: FeatureSetSpec) -> None:
@@ -611,54 +600,46 @@ def _fit_rf(X, y, spec: FeatureSetSpec, hp: RFHyperParams) -> RFModel:
     return model
 
 
-def _oob_rows(trees, n: int) -> list[np.ndarray]:
-    """Per tree, the indices of the n training rows its bootstrap never drew."""
-    oob = []
-    for tree in trees:
-        mask = np.ones(n, dtype=bool)
-        mask[tree.in_bag] = False
-        oob.append(np.nonzero(mask)[0])
-    return oob
+def _oob_scores(model: RFModel, X, y) -> tuple[np.ndarray, np.ndarray]:
+    """The OOB error curve and the permutation importances, from walks of the
+    out-of-bag (tree, row) pairs, block by block in tree order.
 
-
-def _oob_curve(trees, oob, X, y) -> np.ndarray:
-    """OOB majority-vote error after each tree; NaN while no row was out of bag."""
-    votes = np.zeros((len(y), 2), dtype=np.int64)
-    curve = np.empty(len(trees), dtype=np.float64)
-    for t, (tree, oob_rows) in enumerate(zip(trees, oob)):
-        if oob_rows.size:
-            preds = tree.predict(X[oob_rows])
-            votes[oob_rows[preds == PLASTIC], 0] += 1
-            votes[oob_rows[preds == WATER], 1] += 1
-        seen = votes.sum(axis=1) > 0
-        if seen.any():
-            agg = np.where(votes[:, 0] >= votes[:, 1], PLASTIC, WATER)
-            curve[t] = float(np.mean(agg[seen] != y[seen]))
-        else:
-            curve[t] = float("nan")
-    return curve
-
-
-def _permutation_importance(trees, oob, X, y, seed: int, n_features: int) -> np.ndarray:
-    """Mean decrease in per-tree OOB accuracy when one feature is shuffled.
-
-    ``oob`` holds each tree's out-of-bag rows, as :func:`_oob_rows` gives.
-    """
-    totals = np.zeros(n_features, dtype=np.float64)
-    used = 0
-    for t, (tree, oob_rows) in enumerate(zip(trees, oob)):
-        if oob_rows.size == 0:
-            continue
-        used += 1
-        X_oob = X[oob_rows]
-        y_oob = y[oob_rows]
-        base = float(np.mean(tree.predict(X_oob) == y_oob))
-        for f in range(n_features):
-            rng = seeded_rng(seed, "permutation", t, f)
-            shuffled = X_oob.copy()
-            shuffled[:, f] = X_oob[rng.permutation(oob_rows.size), f]
-            totals[f] += base - float(np.mean(tree.predict(shuffled) == y_oob))
-    return totals / used if used else totals
+    ``curve[t]`` is the majority-vote error (ties to plastic) over the rows
+    out of bag in one of trees 0..t, NaN while there is none.  An importance
+    is the mean over trees with OOB rows of the drop in a tree's OOB accuracy
+    when ``seeded_rng(seed, "permutation", t, f)`` shuffles feature f."""
+    n, n_features = X.shape
+    votes = np.zeros((2, n), dtype=np.int32)  # running plastic and water votes
+    curve, drops = [], [np.zeros((1, n_features))]  # the drops add up from 0.0
+    for block in _blocks(np.arange(len(model.trees)), n):
+        oob = np.ones((len(block), n), dtype=bool)
+        for i, t in enumerate(block):
+            oob[i, model.trees[t].in_bag] = False
+        tree, row = np.nonzero(oob)  # tree-major, each tree's rows in order
+        trees, pairs, X_oob = block[tree], np.arange(row.size), X[row]
+        size, truth = oob.sum(axis=1), y[row] == PLASTIC
+        accuracy = lambda plastic: np.bincount(tree, plastic == truth, len(block)) / size
+        plastic = _walk(model, X_oob, trees, pairs)
+        voted = np.zeros_like(oob)
+        voted[tree, row] = plastic
+        p, w = (np.cumsum(v, axis=0, dtype=np.int32) + start
+                for v, start in zip((voted, oob & ~voted), votes))
+        votes, seen = (p[-1].copy(), w[-1].copy()), p + w > 0
+        with np.errstate(invalid="ignore"):  # 0 / 0 where no row is out of bag
+            curve.append((((p >= w) != (y == PLASTIC)) & seen).sum(axis=1) / seen.sum(axis=1))
+            del p, w, seen, voted  # before the importance walks
+            base, drop = accuracy(plastic), np.empty((len(block), n_features))
+            for f in range(n_features) if row.size else ():
+                X_oob[:, f] = X_oob[np.concatenate([  # each tree's rows shuffled among themselves
+                    at + seeded_rng(model.hyperparams.seed, "permutation", t, f).permutation(k)
+                    for t, at, k in zip(block.tolist(), np.cumsum(size) - size, size) if k
+                ]), f]
+                drop[:, f] = base - accuracy(_walk(model, X_oob, trees, pairs))
+                X_oob[:, f] = X[row, f]
+        drops.append(drop[size > 0])
+    drops = np.concatenate(drops)
+    totals = np.add.accumulate(drops, axis=0)[-1]  # tree by tree
+    return np.concatenate(curve), totals / max(1, len(drops) - 1)
 
 
 def rf_permutation_importance(model: RFModel, table: SampleTable) -> np.ndarray:
@@ -677,15 +658,16 @@ def rf_permutation_importance(model: RFModel, table: SampleTable) -> np.ndarray:
         raise LengthMismatchError(
             f"table has {len(table)} rows but the model was trained on {model.n_train}"
         )
-    X, y = feature_matrix(table, model.spec)
-    return _permutation_importance(
-        model.trees, _oob_rows(model.trees, len(y)), X, y,
-        model.hyperparams.seed, model.spec.n_features,
-    )
+    return _oob_scores(model, *feature_matrix(table, model.spec))[1]
 
 
 def predict_rf_batch(model: RFModel, X: np.ndarray) -> np.ndarray:
-    """Majority vote over trees for each row; ties go to plastic."""
+    """Majority vote over trees for each row; ties go to plastic.
+
+    A batch of fewer than :data:`_TABLE_MIN_ROWS` rows walks every tree.  A
+    larger one goes through the trees' lookup tables, compiled on first use,
+    and walks only the trees past :data:`_TABLE_MAX_SPLITS` splits.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.spec.n_features:
         raise SpecMismatchError(
@@ -694,12 +676,26 @@ def predict_rf_batch(model: RFModel, X: np.ndarray) -> np.ndarray:
         )
     if len(X) == 0:
         raise EmptyInputError("no rows to predict")
-    X = np.asfortranarray(X)  # one copy; every split of every tree reads a column
-    n_trees = len(model.trees)
-    plastic_votes = np.zeros(len(X), dtype=np.min_scalar_type(n_trees))  # holds n_trees
-    for tree in model.trees:
-        plastic_votes += tree._plastic(X)
-    return np.where(plastic_votes >= (n_trees + 1) // 2, PLASTIC, WATER)  # 2 * votes >= n_trees
+    n, n_trees = len(X), len(model.trees)
+    votes = np.zeros(n, dtype=np.min_scalar_type(n_trees))  # holds n_trees
+    walked = np.arange(n_trees)
+    if n >= _TABLE_MIN_ROWS:
+        X = np.asfortranarray(X)  # every split of every table reads a column
+        walked = np.flatnonzero([compiled is None for compiled in model._tables])
+        goes_left = np.empty(n, dtype=bool)
+        for splits, table in filter(None, model._tables):
+            # the code is built in place: adding it to itself shifts it left,
+            # and the split's outcome fills the new low bit
+            code = np.zeros(n, dtype=np.uint8 if len(splits) <= 8 else np.uint16)
+            for f, t in splits:
+                np.add(code, code, out=code)
+                np.less_equal(X[:, f], t, out=goes_left)  # false for NaN: it goes right
+                code |= goes_left
+            votes += np.take(table, code)
+    for trees in _blocks(walked, n):
+        plastic = _walk(model, X, np.repeat(trees, n), np.tile(np.arange(n), trees.size))
+        votes += plastic.reshape(trees.size, n).sum(axis=0, dtype=votes.dtype)
+    return np.where(votes >= (n_trees + 1) // 2, PLASTIC, WATER)  # 2 * votes >= n_trees
 
 
 def predict_rf(model: RFModel, fv: FeatureVector) -> int:

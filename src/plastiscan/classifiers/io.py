@@ -5,11 +5,11 @@ predicts bit-for-bit identically after loading.  A forest's file holds its
 OOB error, curve and importances but not the bootstrap records or training
 matrix, so ``rf_permutation_importance`` needs the freshly trained model.
 
-Loading a forest reads all its trees in one preorder pass onto forest-level
-node lists, then makes one array per field for the whole forest; each tree
-holds slices of them.  Trained trees are assembled by the same function
-(``forest._forest_trees``), with their nodes in the same preorder, so a tree
-read back from its file equals the tree that was grown, field by field.
+Loading a forest reads its trees in one preorder pass onto forest-level node
+lists; ``forest._forest_trees`` cuts each tree's arrays from them, as it does
+for trained trees, so a tree read back from its file equals the grown one,
+field by field.  As for a trained forest, the nodes are joined for the
+forest-wide walk, and lookup tables compiled, only when a prediction needs them.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import CorruptModelError, ModelSchemaError, _read_json
+from ..errors import CorruptModelError, ModelSchemaError, _names_file, _read_json
 from ..spectra import FeatureSetSpec, MODEL_SPECS
 from .forest import RFHyperParams, RFModel, _Tree, _forest_trees
 from .svm import Scaler, SVMHyperParams, SVMModel
@@ -213,6 +213,7 @@ def _check_version_and_algo(doc, expect_algo):
     return algo
 
 
+@_names_file
 def load_model(path: str | Path, expect_algo: str | None = None) -> RFModel | SVMModel:
     """Read a model written by :func:`save_model`.
 
@@ -229,10 +230,7 @@ def load_model(path: str | Path, expect_algo: str | None = None) -> RFModel | SV
         raise CorruptModelError("n_train must be a non-negative int")
 
     try:
-        if algo == "rf":
-            hp = RFHyperParams(**hp_doc)
-        else:
-            hp = SVMHyperParams(**hp_doc)
+        hp = (RFHyperParams if algo == "rf" else SVMHyperParams)(**hp_doc)
     except (TypeError, ValueError) as exc:
         raise CorruptModelError(f"bad hyperparams: {exc}") from exc
 

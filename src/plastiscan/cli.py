@@ -258,12 +258,15 @@ def _merge_options(command: str, args: argparse.Namespace) -> dict[str, object]:
         except OSError as exc:
             raise DataError(f"cannot read config file: {exc}") from exc
         if not isinstance(raw, dict):
-            raise DataError("config file must hold a JSON object")
-        for key, value in raw.items():
-            name = key.replace("-", "_")
-            if name not in options:
-                raise _UsageError(f"config key {key!r} is not an option of '{command}'")
-            merged[name] = _check_config_value(key, name, value)
+            raise DataError(f"{Path(args.config).name}: config file must hold a JSON object")
+        try:
+            for key, value in raw.items():
+                name = key.replace("-", "_")
+                if name not in options:
+                    raise _UsageError(f"config key {key!r} is not an option of '{command}'")
+                merged[name] = _check_config_value(key, name, value)
+        except _UsageError as err:
+            raise _UsageError(f"{Path(args.config).name}: {err}") from None
     merged.update((name, value) for name, value in vars(args).items() if name in options)
     for name, default in options.items():
         if merged.setdefault(name, default) is ...:

@@ -36,6 +36,7 @@ from .errors import (
     NonNumericReflectanceError,
     SchemaMismatchError,
     SingleClassError,
+    _names_file,
 )
 from .raster import feature_columns
 from .rng import seeded_rng
@@ -211,6 +212,7 @@ def _csv_records(path: Path) -> Iterator[list[str]]:
         raise SchemaMismatchError(f"{path.name}:{reader.line_num}: {exc}") from None
 
 
+@_names_file
 def load_samples(path: str | Path) -> SampleTable:
     """Load a sample table; see the module docstring for the schema."""
     path = Path(path)
@@ -426,7 +428,7 @@ def feature_matrix(table: SampleTable, spec: FeatureSetSpec) -> tuple[np.ndarray
         except MissingBandError:
             s = next(s for s in table.rows if b not in s.spectrum)
             raise MissingBandError(f"sample {s.key()}: spectrum has no band {b}") from None
-    X = feature_columns(arrays, spec)
+    X = np.ascontiguousarray(feature_columns(arrays, spec))  # an SVM fit sums C-ordered rows
     if np.isnan(X).any():
         row, col = np.argwhere(np.isnan(X))[0]
         raise DegenerateDenominatorError(

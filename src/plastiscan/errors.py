@@ -42,6 +42,19 @@ def _read_json(path, what: str, error: type[DataError], too_deep: type[DataError
         raise (too_deep or error)(f"{name}: {what} nests too deeply to read") from exc
 
 
+def _names_file(read):
+    """``read(path, ...)``, each ``DataError`` it raises led by the file's name."""
+    @functools.wraps(read)
+    def reader(path, *args, **kwargs):
+        try:
+            return read(path, *args, **kwargs)
+        except DataError as exc:
+            if str(exc).startswith(name := os.path.basename(path)):
+                raise
+            raise type(exc)(f"{name}: {exc}") from exc
+    return reader
+
+
 class PlastiscanError(Exception):
     """Base class for every error raised by this package."""
 

@@ -26,6 +26,7 @@ from .errors import (
     MissingBandError,
     TruncatedPayloadError,
     UnknownBandError,
+    _names_file,
     _read_json,
 )
 from .spectra import (
@@ -256,6 +257,7 @@ def _require(header: Mapping, key: str, kind: type, what: str):
     return value
 
 
+@_names_file
 def read_stack(path: str | Path) -> BandStack:
     """Read a bsqf/1 container; see :func:`write_stack` for the layout."""
     header_path = Path(path)
@@ -309,8 +311,7 @@ def read_stack(path: str | Path) -> BandStack:
     expected = 4 * width * height * len(band_ids)
     if len(payload) != expected:
         raise TruncatedPayloadError(
-            f"payload is {len(payload)} bytes, header implies {expected}"
-        )
+            f"payload {payload_path.name} is {len(payload)} bytes, header implies {expected}")
     cube = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     cube = cube.reshape(len(band_ids), height, width)
     grids: dict[str, Grid] = {}
@@ -414,7 +415,8 @@ def index_arrays(arrays: Mapping[str, np.ndarray], index_id: str) -> np.ndarray:
 
 
 def feature_columns(arrays: Mapping[str, np.ndarray], spec: FeatureSetSpec) -> np.ndarray:
-    """(n, k) features for ``spec`` from length-n float64 band arrays.
+    """(n, k) features for ``spec`` from length-n float64 band arrays, in
+    Fortran order: each feature, as a forest's splits read it, is contiguous.
 
     The one feature assembly for samples and pixels; rows equal
     :func:`plastiscan.spectra.feature_vector` bit for bit, except that a
@@ -424,7 +426,7 @@ def feature_columns(arrays: Mapping[str, np.ndarray], spec: FeatureSetSpec) -> n
     if missing:
         raise MissingBandError(f"{spec.spec_id}: missing source band(s) {', '.join(missing)}")
     columns = [arrays[m] if m in BAND_REGISTRY else index_arrays(arrays, m) for m in spec.members]
-    return np.stack(columns, axis=1)
+    return np.stack(columns).T
 
 
 def compute_index_raster(stack: BandStack, index_id: str) -> Grid:

@@ -256,6 +256,9 @@ def fdi(re2: float, nir: float, swir1: float) -> float:
     return _fdi(re2, nir, swir1)
 
 
+_INDEX_FUNCTIONS = {"FDI": fdi, "PI": pi, "NDVI": ndvi, "KNDVI": kndvi}  # checked scalars
+
+
 @dataclass(frozen=True)
 class SpectralIndexSet:
     """All four indices computed from one pixel."""
@@ -268,16 +271,7 @@ class SpectralIndexSet:
 
 def index_set(pixel: PixelSpectrum) -> SpectralIndexSet:
     """Compute FDI, PI, NDVI, kNDVI from B4/B6/B8/B11 of ``pixel``."""
-    red = pixel.band("B4")
-    re2 = pixel.band("B6")
-    nir = pixel.band("B8")
-    swir1 = pixel.band("B11")
-    return SpectralIndexSet(
-        fdi=fdi(re2, nir, swir1),
-        pi=pi(red, nir),
-        ndvi=ndvi(red, nir),
-        kndvi=kndvi(red, nir),
-    )
+    return SpectralIndexSet(*feature_vector(pixel, FeatureSetSpec("indices", INDEX_IDS)).values)
 
 
 @dataclass(frozen=True)
@@ -336,17 +330,16 @@ class FeatureVector:
 def feature_vector(pixel: PixelSpectrum, spec: FeatureSetSpec) -> FeatureVector:
     """Assemble the feature vector for ``pixel`` under ``spec``.
 
-    Band members copy the reflectance; index members are computed from
-    B4 (red), B6 (red edge 2), B8 (NIR) and B11 (SWIR 1).  All four source
-    bands must be present whenever the spec contains any index.
-    """
+    Band members copy the reflectance.  The first index member reads, in band
+    order, the :data:`INDEX_SOURCES` bands of all: only ``spec.source_bands``
+    must be present."""
     values: list[float] = []
-    indices: SpectralIndexSet | None = None
+    bands: dict[str, float] | None = None
     for name in spec.members:
         if name in BAND_REGISTRY:
             values.append(pixel.band(name))
             continue
-        if indices is None:
-            indices = index_set(pixel)
-        values.append(getattr(indices, name.lower()))
+        if bands is None:
+            bands = {b: pixel.band(b) for b in INDEX_SOURCE_BANDS if b in spec.source_bands}
+        values.append(_INDEX_FUNCTIONS[name](*(bands[b] for b in INDEX_SOURCES[name])))
     return FeatureVector(spec_id=spec.spec_id, values=tuple(values))

@@ -22,6 +22,7 @@ from .errors import (
     InvalidSampleError,
     MissingBandError,
     PatchOutOfBoundsError,
+    _names_file,
     _read_json,
 )
 from .dataset import FRACTION_CATEGORIES, Sample, SampleTable, _CATEGORY_EDGES
@@ -99,20 +100,23 @@ class Endmember:
         return tuple(self.reflectance)
 
 
+@_names_file
 def load_endmembers(path: str | Path) -> dict[str, Endmember]:
     """Read an endmember table ``{"endmembers": {name: {band: value}}}``."""
     doc = _read_json(path, "endmember table", DataError)
     table = doc.get("endmembers") if isinstance(doc, dict) else None
     if not isinstance(table, dict) or not table:
-        raise DataError(f"{Path(path).name}: missing non-empty 'endmembers' object")
+        raise DataError("missing non-empty 'endmembers' object")
     for name, spec in table.items():
+        if not name:
+            raise DataError("endmember names must be non-empty")
         if not isinstance(spec, dict) or not all(type(v) in (int, float) for v in spec.values()):
-            raise DataError(f"{Path(path).name}: endmember {name!r} must be an object of numbers")
+            raise DataError(f"endmember {name!r} must be an object of numbers")
     members = {name: Endmember(name, spec) for name, spec in table.items()}
     if WATER_ENDMEMBER not in members:
-        raise DataError(f"{Path(path).name}: endmember table needs a 'water' entry")
+        raise DataError("endmember table needs a 'water' entry")
     if len(members) < 2:
-        raise DataError(f"{Path(path).name}: need at least one plastic endmember")
+        raise DataError("need at least one plastic endmember")
     return members
 
 

@@ -1,4 +1,5 @@
-"""Independent per-node reference for random-forest tree growth.
+"""Independent per-node reference for random-forest tree growth, and
+per-tree references for the OOB curve and the permutation importances.
 
 The one-tree-at-a-time, one-node-at-a-time grower the package used before
 it grew the trees of a forest in lockstep: ``_best_feature_split``,
@@ -6,6 +7,10 @@ it grew the trees of a forest in lockstep: ``_best_feature_split``,
 repeats ``train_rf``'s data preparation and per-tree seeding and returns each
 tree's node arrays, numbered in preorder, so tests can require the package's
 trees to match these bit for bit.
+
+``oob_curve`` and ``permutation_importance`` are the tree-by-tree loops the
+package used before it walked all out-of-bag (tree, row) pairs together;
+each tree predicts through ``scene_oracle.tree_classes``, its own walk.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ import numpy as np
 from plastiscan.classifiers.forest import RFHyperParams
 from plastiscan.dataset import feature_matrix
 from plastiscan.rng import seeded_rng
-from plastiscan.spectra import PLASTIC
+from plastiscan.spectra import PLASTIC, WATER
+from scene_oracle import tree_classes
 
 FIELDS = ("feature", "threshold", "left", "right", "counts", "in_bag")
 DTYPES = (np.int64, np.float64, np.int64, np.int64, np.int64, np.int64)
@@ -208,3 +214,51 @@ def grow_forest(table, spec, hp: RFHyperParams) -> list[dict[str, np.ndarray]]:
         in_bag = rng.integers(0, n, size=n)
         trees.append(_grow_tree(X, is_plastic, hp, rng, in_bag))
     return trees
+
+
+def oob_rows(trees, n: int) -> list[np.ndarray]:
+    """Per tree, the indices of the n training rows its bootstrap never drew."""
+    oob = []
+    for tree in trees:
+        mask = np.ones(n, dtype=bool)
+        mask[tree.in_bag] = False
+        oob.append(np.nonzero(mask)[0])
+    return oob
+
+
+def oob_curve(trees, X, y) -> np.ndarray:
+    """OOB majority-vote error after each tree; NaN while no row was out of bag."""
+    votes = np.zeros((len(y), 2), dtype=np.int64)
+    curve = np.empty(len(trees), dtype=np.float64)
+    for t, (tree, rows) in enumerate(zip(trees, oob_rows(trees, len(y)))):
+        if rows.size:
+            preds = tree_classes(tree, X[rows])
+            votes[rows[preds == PLASTIC], 0] += 1
+            votes[rows[preds == WATER], 1] += 1
+        seen = votes.sum(axis=1) > 0
+        if seen.any():
+            agg = np.where(votes[:, 0] >= votes[:, 1], PLASTIC, WATER)
+            curve[t] = float(np.mean(agg[seen] != y[seen]))
+        else:
+            curve[t] = float("nan")
+    return curve
+
+
+def permutation_importance(trees, X, y, seed: int) -> np.ndarray:
+    """Mean decrease in per-tree OOB accuracy when one feature is shuffled."""
+    n_features = X.shape[1]
+    totals = np.zeros(n_features, dtype=np.float64)
+    used = 0
+    for t, (tree, rows) in enumerate(zip(trees, oob_rows(trees, len(y)))):
+        if rows.size == 0:
+            continue
+        used += 1
+        X_oob = X[rows]
+        y_oob = y[rows]
+        base = float(np.mean(tree_classes(tree, X_oob) == y_oob))
+        for f in range(n_features):
+            rng = seeded_rng(seed, "permutation", t, f)
+            shuffled = X_oob.copy()
+            shuffled[:, f] = X_oob[rng.permutation(rows.size), f]
+            totals[f] += base - float(np.mean(tree_classes(tree, shuffled) == y_oob))
+    return totals / used if used else totals

@@ -12,9 +12,11 @@ from plastiscan import load_model, read_stack, classify_scene, save_model
 from plastiscan import cli
 from plastiscan.cli import main
 from plastiscan.dataset import FRACTION_CATEGORIES, load_samples
+from plastiscan.errors import DataError, InvalidSampleError, MissingBandError
 from plastiscan.metrics import METRIC_KEYS
 from plastiscan.raster import compute_index_raster, read_label_map
 from plastiscan.spectra import PLASTIC, WATER
+from plastiscan.synth import load_endmembers
 
 CSV_HEADER = "site,date,row,col,lat,lon,B04,B06,B08,B11,label,plastic_fraction"
 
@@ -743,6 +745,33 @@ class TestMalformedFiles:
                            "--out", str(tmp_path / "p.csv"))
         assert (code, err) == (
             2, "plastiscan: members.json: endmember 'water' must be an object of numbers\n")
+
+
+# endmember tables that fail Endmember's own checks, with the error class and
+# the message load_endmembers gives, after the file's name
+BAD_ENDMEMBERS = [
+    ({"": {"B8": 0.3}}, DataError, "endmember names must be non-empty"),
+    ({"p": {"B99": 0.3}}, MissingBandError, "endmember p: unknown band(s) ['B99']"),
+    ({"p": {"B4": 0.1, "B6": 0.1, "B8": 0.3}}, MissingBandError, "endmember p: missing band B11"),
+    ({"p": {"B4": 0.4, "B6": 0.1, "B8": 0.3, "B11": 0.2}}, InvalidSampleError,
+     "endmember p: expected B8 > B4 and B8 > B6 (NIR peak)"),
+    ({"water": {"B3": 0.01, "B4": 0.03, "B6": 0.02, "B8": 0.05, "B11": 0.005}},
+     InvalidSampleError, "endmember water: expected B8 < B3 (NIR absorption)"),
+]
+
+
+@pytest.mark.parametrize("members, error, message", BAD_ENDMEMBERS,
+                         ids=["empty-name", "unknown-band", "missing-band", "nir-peak", "water"])
+def test_endmember_errors_name_the_file(capsys, tmp_path, members, error, message):
+    table = json.loads(endmember_doc())["endmembers"]
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"endmembers": {**table, **members}}), encoding="utf-8")
+    with pytest.raises(error) as raised:
+        load_endmembers(path)
+    assert str(raised.value) == f"t.json: {message}"
+    code, _, err = run(capsys, "synth-data", "--endmembers", str(path),
+                       "--out", str(tmp_path / "p.csv"))
+    assert (code, err) == (2, f"plastiscan: t.json: {message}\n")
 
 
 class TestEntryPointArgv:

@@ -530,7 +530,7 @@ def scene_models(default_pool):
             spec = MODEL_SPECS[model_id]
             unbounded = train_rf(default_pool, spec,
                                  RFHyperParams.matrix_profile(mtry=1, seed=1, n_trees=15))
-            assert max(tree.n_leaves for tree in unbounded.trees) > 9
+            assert max((tree.feature < 0).sum() for tree in unbounded.trees) > 9
             cache[model_id] = (
                 train_rf(default_pool, spec,
                          RFHyperParams.final_profile(spec.n_features, seed=1)),

@@ -51,11 +51,25 @@ def uniform_table(n=40, n_features=3, seed=0, separator=None):
     return table_from_features(X, y), X, y
 
 
+def record(feature, threshold, left, right, counts) -> _Tree:
+    """A tree record with the node arrays' dtypes, as train_rf gives them."""
+    values = (feature, threshold, left, right, np.reshape(counts, (-1, 2)))
+    return _Tree(*(np.asarray(v, dtype=d) for v, d in zip(values, forest_oracle.DTYPES)),
+                 in_bag=None)
+
+
 def leaf_tree(counts) -> _Tree:
-    return _Tree(
-        feature=[-1], threshold=[0.0], left=[-1], right=[-1],
-        counts=[counts], in_bag=None,
-    )
+    return record(feature=[-1], threshold=[0.0], left=[-1], right=[-1], counts=[counts])
+
+
+def n_leaves(tree) -> int:
+    return int((tree.feature < 0).sum())
+
+
+def mirrored(tree) -> _Tree:
+    """``tree`` with every node's vote flipped."""
+    counts = tree.counts
+    return tree._replace(counts=np.where(counts[:, :1] == counts[:, 1:], [0, 1], counts[:, ::-1]))
 
 
 TREE_THRESHOLDS = (-1.0, 0.0, 0.25, 0.5, 1.0)
@@ -84,10 +98,10 @@ def random_tree(m, n_features, seed) -> _Tree:
             feature[node] = int(rng.integers(n_features))
             threshold[node] = float(rng.choice(TREE_THRESHOLDS))
             left[node], right[node] = (new_id[c] for c in children[old])
-    return _Tree(feature, threshold, left, right, counts, in_bag=None)
+    return record(feature, threshold, left, right, counts)
 
 
-def probe_rows(rng, n=500) -> np.ndarray:
+def probe_rows(rng, n=700) -> np.ndarray:
     """(n, 2) rows drawn from the trees' thresholds, NaN, +-inf and values
     in between, in C order."""
     values = np.concatenate(
@@ -172,7 +186,7 @@ class TestTraining:
             oob = np.ones(n, dtype=bool)
             oob[tree.in_bag] = False
             rows = np.nonzero(oob)[0]
-            preds = tree.predict(X[rows])
+            preds = scene_oracle.tree_classes(tree, X[rows])
             votes[rows[preds == PLASTIC], 0] += 1
             votes[rows[preds == WATER], 1] += 1
         seen = votes.sum(axis=1) > 0
@@ -259,10 +273,10 @@ class TestTraining:
             table, band_spec(3),
             RFHyperParams(n_trees=25, mtry=3, max_leaf_nodes=4, seed=0),
         )
-        assert all(tree.n_leaves <= 4 for tree in model.trees)
+        assert all(n_leaves(tree) <= 4 for tree in model.trees)
         # unconstrained growth on the same data produces bigger trees
         free = train_rf(table, band_spec(3), RFHyperParams(n_trees=25, mtry=3, seed=0))
-        assert max(t.n_leaves for t in free.trees) > 4
+        assert max(n_leaves(t) for t in free.trees) > 4
 
     def test_max_depth_bounds_every_tree(self):
         table, _, _ = uniform_table(n=60, n_features=3, seed=6)
@@ -512,7 +526,9 @@ class TestPrediction:
         assert predict_rf_batch(model, np.zeros((3, 2))).tolist() == [expected] * 3
 
     def test_leaf_count_tie_votes_plastic(self):
-        assert leaf_tree((3, 3)).leaf_class.tolist() == [PLASTIC]
+        model = forest_of([leaf_tree((3, 3))])
+        for rows in (1, 512):  # the walk, then the table
+            assert predict_rf_batch(model, np.zeros((rows, 2))).tolist() == [PLASTIC] * rows
 
     def test_single_vector_wrapper(self):
         model = forest_of([leaf_tree((5, 0))])
@@ -533,39 +549,49 @@ class TestPrediction:
 
 
 class TestCompiledTree:
-    """A tree's lookup table must label every row as the level walk does."""
+    """Predictions through the lookup tables (batches of at least
+    _TABLE_MIN_ROWS rows) and through the forest-wide walk (smaller batches)
+    must both label every row as each tree's own level walk does."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("m", [0, 1, 5, 7, 8, 9, 12, 13])  # codes of 8 bits, then 16
     def test_table_matches_walk(self, m, seed):
         tree = random_tree(m, n_features=2, seed=seed)
-        assert (tree._table is None) == (m > 12)  # 13 splits fall back to the walk
+        assert (forest._compile(tree) is None) == (m > 12)  # 13 splits fall back to the walk
         X = probe_rows(np.random.default_rng(100 + seed))
-        expected = tree._walk(X)
+        expected = scene_oracle.tree_classes(tree, X)
         for layout in (X, np.asfortranarray(X)):
-            got = tree.predict(layout)
-            assert got.dtype == expected.dtype
-            np.testing.assert_array_equal(got, expected)
+            for rows in (len(X), forest._TABLE_MIN_ROWS - 1):  # tables, then the walk
+                got = predict_rf_batch(forest_of([tree]), layout[:rows])
+                assert got.dtype == expected.dtype
+                np.testing.assert_array_equal(got, expected[:rows])
 
     @pytest.mark.parametrize("n_trees", [1, 2, 10, 255, 256])  # 256 votes need 16 bits
     def test_forest_vote_matches_walk_majority(self, n_trees):
+        assert forest._TABLE_MIN_ROWS == 512
         rng = np.random.default_rng(n_trees)
         sizes = rng.integers(0, 14, size=n_trees)  # tables of every code width, and walks
-        model = forest_of([random_tree(int(m), n_features=2, seed=s)
-                           for s, m in enumerate(sizes)])
-        X = probe_rows(rng)
+        trees = [random_tree(int(m), n_features=2, seed=s) for s, m in enumerate(sizes)]
+        if n_trees == 256:  # 127 trees and their mirrors: a row ties unless trees 0 and 1 agree
+            trees[129:] = [mirrored(tree) for tree in trees[2:129]]
+        model = forest_of(trees)
+        X = probe_rows(rng, n=4096)
         expected = scene_oracle.rf_labels(model, X)
-        if n_trees in (2, 10):
-            votes = sum(tree._walk(X) == PLASTIC for tree in model.trees)
-            assert (2 * votes == n_trees).any()  # some rows tie, and must go to plastic
-        for layout in (X, np.asfortranarray(X)):
-            np.testing.assert_array_equal(predict_rf_batch(model, layout), expected)
+        if n_trees in (2, 10, 256):
+            votes = sum(scene_oracle.tree_classes(tree, X) == PLASTIC for tree in model.trees)
+            assert (2 * votes[:511] == n_trees).any()  # some rows tie, and must go to plastic
+        for n_rows in (1, 511, 512, 4096):  # the walk below 512 rows, tables from 512
+            for layout in (X[:n_rows], np.asfortranarray(X[:n_rows])):
+                np.testing.assert_array_equal(predict_rf_batch(model, layout), expected[:n_rows])
 
     def test_nan_goes_right_and_ties_go_left(self):
-        tree = _Tree(feature=[0, -1, -1], threshold=[0.5, 0.0, 0.0], left=[1, -1, -1],
-                     right=[2, -1, -1], counts=[(2, 2), (2, 0), (0, 2)], in_bag=None)
+        tree = record(feature=[0, -1, -1], threshold=[0.5, 0.0, 0.0], left=[1, -1, -1],
+                      right=[2, -1, -1], counts=[(2, 2), (2, 0), (0, 2)])
         X = np.array([[np.nan], [0.5], [np.inf], [-np.inf]])
-        assert tree.predict(X).tolist() == [WATER, PLASTIC, WATER, PLASTIC]
+        model = forest_of([tree], n_features=1)
+        for rows in (1, forest._TABLE_MIN_ROWS // 4):  # the walk, then the table
+            assert predict_rf_batch(model, np.tile(X, (rows, 1))).tolist() == (
+                [WATER, PLASTIC, WATER, PLASTIC] * rows)
 
 
 class TestImportances:
@@ -613,6 +639,81 @@ class TestImportances:
             rf_permutation_importance(rf_small, shorter)
 
 
+class TestTablesOnLargeBatchesOnly:
+    def test_no_table_until_a_batch_of_table_min_rows(
+        self, monkeypatch, default_pool, tc1_split, plastic_pool, water_pool, tmp_path
+    ):
+        compiled = []
+        compile_tree = forest._compile
+        monkeypatch.setattr(forest, "_compile",
+                            lambda tree: compiled.append(tree) or compile_tree(tree))
+        spec = MODEL_SPECS["Model5"]
+        model = train_rf(default_pool, spec, RFHyperParams.final_profile(3, seed=0))
+        save_model(model, tmp_path / "rf.json")
+        loaded = load_model(tmp_path / "rf.json")
+        small = np.zeros((forest._TABLE_MIN_ROWS - 1, 3))
+        for m in (model, loaded):
+            predict_rf_batch(m, small)
+        # matrix fits predict test sets of fewer rows, and never compile
+        grid = GridSpec(mtry_grid=(1, 2), cv_folds=2)
+        base = RFHyperParams(n_trees=10, seed=0)
+        grid_search(tc1_split.train, band_spec(2), "rf", grid, seed=1, rf_base=base)
+        run_cell(plastic_pool, water_pool, "Model2", "TC1", "rf", grid, master_seed=1,
+                 rf_base=base)
+        assert compiled == []
+        large = np.zeros((forest._TABLE_MIN_ROWS, 3))
+        np.testing.assert_array_equal(predict_rf_batch(loaded, large)[:len(small)],
+                                      predict_rf_batch(model, small))
+        assert all(a is b for a, b in zip(compiled, loaded.trees, strict=True))
+        predict_rf_batch(loaded, np.zeros((4096, 3)))
+        assert len(compiled) == len(loaded.trees)  # compiled once, then kept
+
+
+@pytest.fixture(scope="module")
+def oracle_forests(default_pool):
+    """Per feature set: final_profile, 40-tree and 500-tree unbounded forests."""
+    return {
+        (spec_id, profile): train_rf(default_pool, spec, hp)
+        for spec_id, spec in sorted(MODEL_SPECS.items())
+        for profile, hp in (
+            ("final_profile", RFHyperParams.final_profile(spec.n_features, seed=1)),
+            ("unbounded40", RFHyperParams.matrix_profile(mtry=1, seed=1, n_trees=40)),
+            ("unbounded500", RFHyperParams.matrix_profile(
+                mtry=min(2, spec.n_features), seed=1)),
+        )
+    }
+
+
+class TestOobOracle:
+    """The OOB curve and importances of the forest-wide walks equal the
+    per-tree loops of ``forest_oracle``, bit for bit."""
+
+    @pytest.mark.parametrize("profile", ["final_profile", "unbounded40", "unbounded500"])
+    @pytest.mark.parametrize("spec_id", sorted(MODEL_SPECS))
+    def test_curve_and_importances_equal_per_tree_loops(
+        self, oracle_forests, default_pool, spec_id, profile
+    ):
+        model = oracle_forests[spec_id, profile]
+        X, y = model._training
+        curve = forest_oracle.oob_curve(model.trees, X, y)
+        importances = forest_oracle.permutation_importance(model.trees, X, y, seed=1)
+        assert np.array_equal(model.oob_curve, curve, equal_nan=True)
+        assert model.oob_error == curve[-1]
+        assert np.array_equal(model.importances, importances)
+        assert np.array_equal(rf_permutation_importance(model, default_pool), importances)
+
+    def test_blocks_of_whole_trees_change_nothing(self, oracle_forests, monkeypatch):
+        model = oracle_forests["Model1", "unbounded40"]
+        X, y = model._training
+        monkeypatch.setattr(forest, "_WALK_PAIRS", 3 * len(y))  # blocks of 3 trees
+        again = RFModel(model.spec, model.hyperparams, model.trees, model.n_train)
+        again._training = model._training
+        assert np.array_equal(again.oob_curve, model.oob_curve, equal_nan=True)
+        assert np.array_equal(again.importances, model.importances)
+        assert np.array_equal(again.oob_curve, forest_oracle.oob_curve(model.trees, X, y),
+                              equal_nan=True)
+
+
 class TestDiagnosticsOnFirstRead:
     def test_fits_that_only_predict_never_compute_them(
         self, monkeypatch, tc1_split, plastic_pool, water_pool
@@ -620,8 +721,7 @@ class TestDiagnosticsOnFirstRead:
         def refuse(*args, **kwargs):
             raise AssertionError("diagnostics computed for a fit nobody reads")
 
-        monkeypatch.setattr(forest, "_permutation_importance", refuse)
-        monkeypatch.setattr(forest, "_oob_curve", refuse)
+        monkeypatch.setattr(forest, "_oob_scores", refuse)
         grid = GridSpec(mtry_grid=(1, 2), cv_folds=2)
         base = RFHyperParams(n_trees=10, seed=0)
         found = grid_search(tc1_split.train, band_spec(2), "rf", grid, seed=1, rf_base=base)

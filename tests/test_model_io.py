@@ -21,6 +21,7 @@ from plastiscan import (
     save_model,
     train_rf,
 )
+from plastiscan.classifiers import forest
 from plastiscan.classifiers.io import SCHEMA_VERSION
 from plastiscan.classifiers.svm import decision_function
 from plastiscan.errors import CorruptModelError, ModelSchemaError
@@ -62,16 +63,18 @@ class TestRoundTrip:
     )
     def test_rf_table_and_walk_survive_round_trip(self, default_pool, tmp_path, hp, all_tables):
         model = train_rf(default_pool, MODEL_SPECS["Model5"], hp)
-        tables = [tree._table is not None for tree in model.trees]
+        tables = [forest._compile(tree) is not None for tree in model.trees]
         # final_profile trees all compile; the unbounded forest keeps at least
         # one tree past 12 splits on the level walk
         assert all(tables) == all_tables
         path = tmp_path / "rf.json"
         save_model(model, path)
         loaded = load_model(path)
-        assert [tree._table is not None for tree in loaded.trees] == tables
+        assert [forest._compile(tree) is not None for tree in loaded.trees] == tables
         X = probe_matrix(model)
-        np.testing.assert_array_equal(predict_rf_batch(model, X), predict_rf_batch(loaded, X))
+        for rows in (len(X), forest._TABLE_MIN_ROWS - 1):  # tables, then the walk
+            np.testing.assert_array_equal(predict_rf_batch(model, X[:rows]),
+                                          predict_rf_batch(loaded, X[:rows]))
 
     def test_rf_metadata_preserved(self, rf_small, tmp_path):
         path = tmp_path / "rf.json"
@@ -152,7 +155,7 @@ def scene():
     return stack
 
 
-TREE_FIELDS = ("feature", "threshold", "left", "right", "counts", "leaf_class")
+TREE_FIELDS = ("feature", "threshold", "left", "right", "counts")
 
 
 class TestLoadedTreesEqualTrained:
@@ -166,18 +169,21 @@ class TestLoadedTreesEqualTrained:
         path = tmp_path / "rf.json"
         save_model(model, path)
         loaded = load_model(path)
-        untabled = [tree._table is None for tree in model.trees]
+        untabled = [forest._compile(tree) is None for tree in model.trees]
         assert any(untabled) == (profile == "unbounded")
         for tree, back in zip(model.trees, loaded.trees, strict=True):
             for name in TREE_FIELDS:
                 got, want = getattr(back, name), getattr(tree, name)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-            assert back._splits == tree._splits
-            if tree._table is None:
-                assert back._table is None
+        for got, want in zip(loaded._nodes, model._nodes, strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for back, compiled in zip(loaded._tables, model._tables, strict=True):
+            if compiled is None:
+                assert back is None
             else:
-                assert back._table.dtype == tree._table.dtype
-                assert back._table.tobytes() == tree._table.tobytes()
+                assert back[0] == compiled[0]
+                assert back[1].dtype == compiled[1].dtype
+                assert back[1].tobytes() == compiled[1].tobytes()
         labels = classify_scene(scene, loaded).labels
         assert labels.tobytes() == classify_scene(scene, model).labels.tobytes()
         save_model(loaded, tmp_path / "again.json")
@@ -311,7 +317,7 @@ class TestCorruptionErrors:
 
         assert rf_small.spec.n_features == 6
         path = tampered(tmp_path, rf_small, smash)
-        with pytest.raises(CorruptModelError, match=f"^tree 3: .*{match}"):
+        with pytest.raises(CorruptModelError, match=rf"^tampered\.json: tree 3: .*{match}"):
             load_model(path)
 
     def test_tree_errors_come_in_file_order(self, rf_small, tmp_path):
@@ -320,14 +326,15 @@ class TestCorruptionErrors:
             d["trees"][2] = [0, 0]
 
         path = tampered(tmp_path, rf_small, smash)
-        with pytest.raises(CorruptModelError, match="^tree 1: split feature 9 is outside"):
+        with pytest.raises(CorruptModelError,
+                           match=r"^tampered\.json: tree 1: split feature 9 is outside"):
             load_model(path)
 
         def smash_later_node(d):
             d["trees"][1] = {"f": 9, "t": 0.5, "l": [1, 0], "r": [0, 0]}
 
         path = tampered(tmp_path, rf_small, smash_later_node)
-        with pytest.raises(CorruptModelError, match="^tree 1: leaf counts"):
+        with pytest.raises(CorruptModelError, match=r"^tampered\.json: tree 1: leaf counts"):
             load_model(path)
 
     def test_tree_nested_too_deeply(self, rf_small, tmp_path):

@@ -39,6 +39,7 @@ from plastiscan.spectra import (
     ndvi,
     pi,
 )
+from plastiscan.raster import feature_columns
 
 finite_reflectance = st.floats(
     min_value=0.0, max_value=1.5, allow_nan=False, allow_infinity=False
@@ -265,6 +266,24 @@ def test_feature_vector_missing_band_is_named() -> None:
     px = _pixel(b4=0.2, b6=0.05, b8=0.6)  # no B11
     with pytest.raises(MissingBandError, match="B11"):
         feature_vector(px, MODEL_SPECS["Model4"])
+
+
+@pytest.mark.parametrize("bands", [
+    dict(b6=0.05, b8=0.6, b11=0.02),  # no B4, which Model3 does not use
+    dict(b4=-0.05, b6=0.02, b8=0.05, b11=0.01),  # B4 = -B8: PI's denominator is 0
+], ids=["no_B4", "B4_is_minus_B8"])
+def test_feature_vector_model3_needs_only_its_bands(bands) -> None:
+    px = _pixel(**bands)
+    spec = MODEL_SPECS["Model3"]
+    arrays = {band_id: np.array([value]) for band_id, value in px.reflectance.items()}
+    assert feature_vector(px, spec).values == tuple(feature_columns(arrays, spec)[0].tolist())
+    for model_id in ("Model1", "Model2", "Model4", "Model5"):  # these read B4
+        if "B4" in px:
+            with pytest.raises(DegenerateDenominatorError, match="^pi: denominator"):
+                feature_vector(px, MODEL_SPECS[model_id])
+        else:
+            with pytest.raises(MissingBandError, match="^spectrum has no band B4$"):
+                feature_vector(px, MODEL_SPECS[model_id])
 
 
 def test_feature_vector_is_pure() -> None:
