@@ -6,36 +6,37 @@ are the midpoints between adjacent distinct sorted values.  Ties in impurity
 decrease resolve toward the lower feature index, then the lower threshold,
 so training is fully deterministic given the seed.
 
-The trees of a forest grow in lockstep (see ``_grow_forest``).  Each keeps its
-own seeded stream, bootstrap and node order (depth first, or best first under
-``max_leaf_nodes``).  One ``integers`` call per tree draws its bootstrap and
-the feature draws of its first nodes, the very numbers that
-``Generator.choice`` would draw node by node (see ``_choice_bounds``).  At
-every step each tree takes the features of its next node, and one segmented
-pass scores the nodes of all trees together: one sort
-by (node and feature, value), cumulative plastic counts, the Gini decrease of
-every cut, and the first maximum per node.  This is the presorted column
-scan of XGBoost's exact greedy split finding (Chen & Guestrin, KDD 2016,
-section 4.1), run across the trees of a forest rather than the leaves of one
-tree; a tree comes out as it would if grown alone.
+The trees of one forest or of many grow in one lockstep on array state
+(see ``_grow_forests``).  Each tree keeps its own seeded stream, bootstrap
+and node order (depth first, or best first under ``max_leaf_nodes``).  One
+``integers`` call per tree draws its bootstrap and the feature draws of its
+first nodes, the very numbers that ``Generator.choice`` would draw node by
+node (see ``_choice_bounds``).  A node is a range of its tree's bootstrap
+rows in one shared buffer.  At every step each tree takes the features of
+its next nodes, and one segmented pass scores the nodes of all trees
+together: one sort by (node and feature, value), cumulative plastic counts,
+the Gini decrease of every cut, and the first maximum per node.  This is the
+exact greedy split finding of XGBoost (Chen & Guestrin, KDD 2016, section
+4.1), with each node's rows sorted afresh, run across the trees of many
+forests rather than the leaves of one tree; a tree comes out as it would if
+grown alone.
 
 Out-of-bag votes give the error curve and fuel permutation importances (mean
 decrease in OOB accuracy), worked out on first read, so that fits which only
 predict never pay for them.  One level walk (``_walk``) moves any set of
 (tree, row) pairs through the forest's joined nodes at once; it serves the
 OOB scores and small batches.  Batches of ``_TABLE_MIN_ROWS`` rows or more
-go through per-tree lookup tables of plastic votes, compiled on first use,
-for the trees of up to 12 splits, and walk only the deeper trees.
+go through per-tree lookup tables of plastic votes for the trees of up to 12
+splits, built on first use from one walk of all (tree, code) pairs, and walk
+only the deeper trees.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import warnings
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -145,253 +146,95 @@ _TABLE_MIN_ROWS = 512
 _WALK_PAIRS = 1 << 16
 
 
-def _compile(tree: _Tree):
-    """A tree's QuickScorer lookup table (Lucchese et al., SIGIR 2015) as
-    ``(splits, table)``, or None past :data:`_TABLE_MAX_SPLITS` splits.
-
-    Split node k of m, in node order, sets bit m - 1 - k of a row's code when
-    the row goes left; ``table[code]`` is the plastic vote (a uint8) of the
-    leaf it reaches.  A leaf fixes the bits on its path and leaves the others
-    free, so the leaves fill all 2**m codes between them."""
-    feature = tree.feature.tolist()
-    internal = [node for node, f in enumerate(feature) if f >= 0]
-    m = len(internal)
-    if m > _TABLE_MAX_SPLITS:
-        return None
-    bit = {node: k for k, node in enumerate(internal)}
-    left, right = tree.left.tolist(), tree.right.tolist()
-    vote = (tree.counts[:, 0] >= tree.counts[:, 1]).tolist()
-    table = np.empty((2,) * m, dtype=np.uint8)  # axis k = bit k
-    stack = [(0, (slice(None),) * m)]
-    while stack:
-        node, codes = stack.pop()
-        if feature[node] < 0:
-            table[codes] = vote[node]
-            continue
-        k = bit[node]
-        stack.append((left[node], codes[:k] + (1,) + codes[k + 1:]))
-        stack.append((right[node], codes[:k] + (0,) + codes[k + 1:]))
-    splits = [(feature[node], tree.threshold[node]) for node in internal]
-    return splits, table.reshape(-1)
-
-
 def _gini(p: np.ndarray) -> np.ndarray:
     return 2.0 * p * (1.0 - p)
 
 
-class _Split(NamedTuple):
-    """A node's chosen split; each child is ``(rows, (n_plastic, n_water))``."""
-
-    decrease: float
-    feature: int
-    threshold: float
-    left: tuple
-    right: tuple
-
-
-def _best_splits(Xt, ranks, plastic, requests, min_leaf: int) -> list:
+def _best_splits(Xt, ranks, plastic, buf, lo, size, n_plastic, min_leaf, feats, m):
     """Best split of every requested node, all scored in one segmented pass.
 
-    ``Xt`` is the training matrix transposed (n_features, n), free of NaN;
-    ``ranks`` holds each value's dense rank within its feature and
-    ``plastic`` the labels as 0/1.  A request is ``(rows, n_plastic,
-    features)``: a node's training rows (a multiset), its plastic count and
-    its sorted feature draw, of one length m for all requests.  Returns, per
-    request, None or its :class:`_Split`.
+    ``Xt`` is the feature matrix transposed (n_features, N), free of NaN;
+    ``ranks[f * N + row]`` is the dense rank of ``Xt[f, row]`` within its
+    feature and ``plastic`` holds the labels as 0.0/1.0.  Node b holds the
+    rows ``buf[lo[b]:lo[b] + size[b]]`` (a multiset), ``n_plastic[b]`` of
+    them plastic, and searches the ``m[b]`` sorted features that are its part
+    of ``feats``; neither child may hold fewer than ``min_leaf[b]`` rows.
 
-    Segment ``b * m + k`` holds node b's rows sorted by its k-th feature, all
-    segments by one argsort of ``segment * n + rank``.  A cut falls where the
-    rank rises inside a segment, so tied values never straddle one and the
-    order of tied rows does not matter.  A node splits at the first maximum
-    over its cuts in (feature, threshold) order, if that maximum is positive.
+    Segment s holds one (node, feature) pair's rows sorted by the feature,
+    all segments by one sort of ``s * N + rank``.  A cut falls where the rank
+    rises inside a segment, so tied values never straddle one and the order
+    of tied rows does not matter.  A node splits at the first maximum over
+    its cuts in (feature, threshold) order, if that maximum is positive.  Its
+    buffer range then takes the rows of the winning segment in their sorted
+    order, so that its left child holds the first ``n_left`` of them.
+
+    Returns ``(node, decrease, feature, threshold, n_left, plastic_left)``
+    for the nodes that split, in node order.
     """
-    rows_of, n_plastic, feats = zip(*requests)
-    n_nodes, m, n = len(requests), len(feats[0]), Xt.shape[1]
-    n_plastic = np.array(n_plastic)
-    feats = np.concatenate(feats).reshape(n_nodes, m)
-    size = np.fromiter(map(len, rows_of), dtype=np.int64, count=n_nodes)
-    rows = np.concatenate(rows_of)
-    # (m, N): the key of row j under its node's k-th feature at (k, j)
-    key = np.repeat(np.arange(n_nodes * m).reshape(n_nodes, m).T * n, size, axis=1)
-    key += ranks.ravel()[np.repeat(feats.T * n, size, axis=1) + rows]
-    key = key.ravel()
-    order = np.argsort(key)
-    key = key[order]
-    r = np.tile(rows, m)[order]
-    seg_size = np.repeat(size, m)
-    end = np.cumsum(seg_size)
+    N, n_seg = Xt.shape[1], feats.size
+    seg_node = np.arange(lo.size).repeat(m)
+    seg_size = size[seg_node]
+    end = seg_size.cumsum()
     start = end - seg_size
-    cum = np.zeros(r.size + 1, dtype=np.int64)
-    np.cumsum(plastic[r], out=cum[1:])
+    n_values = int(end[-1])
+    pos = np.arange(n_values) + (lo[seg_node] - start).repeat(seg_size)  # in the buffer
+    rows = buf[pos]
+    key = ranks[(feats * N).repeat(seg_size) + rows]
+    key += np.arange(0, n_seg * N, N).repeat(seg_size)
+    shift = (n_values - 1).bit_length()
+    if (n_seg * N) << shift < 1 << 63:  # sort the keys with their places in the low bits
+        key <<= shift
+        key |= np.arange(n_values)
+        key.sort()
+        r = rows[key & ((1 << shift) - 1)]
+        key >>= shift
+    else:
+        order = np.argsort(key)
+        key, r = key[order], rows[order]
+    cum = np.zeros(n_values + 1)  # plastic rows before each sorted place, exact in float64
+    plastic[r].cumsum(out=cum[1:])
 
-    i = np.flatnonzero(key[:-1] < key[1:])  # cut between sorted positions i and i + 1
-    s = key[i] // n
-    n_left = i + 1 - start[s]
-    n_right = seg_size[s] - n_left  # 0 where i ends its segment; min_leaf >= 1 drops it
-    ok = (n_left >= min_leaf) & (n_right >= min_leaf)
-    i, s, n_left, n_right = i[ok], s[ok], n_left[ok], n_right[ok]
-    plastic_left = cum[i + 1] - cum[start[s]]
-    b = s // m
-    # the float64 expression of a one-node search, elementwise
-    n_all = seg_size[s].astype(np.float64)
-    p_all = n_plastic[b].astype(np.float64)
-    nl = n_left.astype(np.float64)
-    nr = n_right.astype(np.float64)
-    pl = plastic_left.astype(np.float64)
-    child = (nl * _gini(pl / nl) + nr * _gini((p_all - pl) / nr)) / n_all
-    decrease = _gini(p_all / n_all) - child
+    rise = key[:-1] < key[1:]
+    rise[end[:-1] - 1] = False  # where one segment ends and the next begins
+    i = rise.nonzero()[0]  # cut between sorted places i and i + 1
+    s = key[i] // N
+    n_all = seg_size.astype(np.float64)[s]
+    nl = i + (1.0 - start)[s]  # the counts in float64, as a one-node search has them
+    nr = n_all - nl
+    if (min_leaf > 1).any():
+        leaf = min_leaf[seg_node][s]
+        ok = ((nl >= leaf) & (nr >= leaf)).nonzero()[0]
+        i, s, n_all, nl, nr = i[ok], s[ok], n_all[ok], nl[ok], nr[ok]
+    pl = cum[i + 1] - cum[start][s]
+    p_all = n_plastic[seg_node].astype(np.float64)
+    child = (nl * _gini(pl / nl) + nr * _gini((p_all[s] - pl) / nr)) / n_all
+    decrease = _gini(p_all / seg_size)[s] - child
 
     # first maximum per node; cuts are in (node, feature, threshold) order
-    best = np.zeros(n_nodes)
-    np.maximum.at(best, b, decrease)
-    hit = np.flatnonzero((decrease == best[b]) & (decrease > 0.0))
+    b = seg_node[s]
+    head = np.ones(b.size, dtype=bool)  # a node's first cut
+    head[1:] = b[1:] != b[:-1]
+    head = head.nonzero()[0]
+    best = np.zeros(lo.size)
+    best[b[head]] = np.maximum.reduceat(decrease, head)
+    hit = ((decrease == best[b]) & (decrease > 0.0)).nonzero()[0]
     first = np.ones(hit.size, dtype=bool)
     first[1:] = b[hit[1:]] != b[hit[:-1]]
     win = hit[first]
-    i, s, b = i[win], s[win], b[win]
-    f = feats.ravel()[s]
+    i, s = i[win], s[win]
+    f = feats[s]
     threshold = (Xt[f, r[i]] + Xt[f, r[i + 1]]) / 2.0
-    out = [None] * n_nodes
-    for node, feature, dec, thr, lo, cut, hi, p_node, p_left, n_l in zip(
-        b.tolist(), f.tolist(), decrease[win].tolist(), threshold.tolist(),
-        start[s].tolist(), (i + 1).tolist(), end[s].tolist(), n_plastic[b].tolist(),
-        plastic_left[win].tolist(), n_left[win].tolist(),
-    ):
-        p_right = p_node - p_left
-        # copies, so that a waiting node does not hold this call's arrays
-        left = (r[lo:cut].copy(), (p_left, n_l - p_left))
-        right = (r[cut:hi].copy(), (p_right, hi - cut - p_right))
-        out[node] = _Split(dec, feature, thr, left, right)
-    return out
+    won = np.zeros(n_seg, dtype=bool)
+    won[s] = True
+    moved = won.repeat(seg_size)  # the sort keeps every segment where it was
+    buf[pos[moved]] = r[moved]
+    return (seg_node[s], decrease[win], f, threshold,
+            nl[win].astype(np.int64), pl[win].astype(np.int64))
 
 
-class _Nodes:
-    """A growing tree's node arrays, as lists; feature -1 marks a leaf."""
-
-    __slots__ = ("feature", "threshold", "left", "right", "counts")
-
-    def __init__(self) -> None:
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.counts: list[tuple[int, int]] = []
-
-    def alloc(self, counts: tuple[int, int], parent: int = -1, is_left: bool = True) -> int:
-        node = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.counts.append(counts)
-        if parent >= 0:
-            (self.left if is_left else self.right)[parent] = node
-        return node
-
-    def set_split(self, node: int, split: _Split) -> None:
-        self.feature[node] = split.feature
-        self.threshold[node] = split.threshold
-
-    def to_preorder(self) -> None:
-        """Renumber the nodes in preorder: a node, its left subtree, then its
-        right subtree, the order in which a model file lists them."""
-        order, stack = [], [0]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            if self.left[node] >= 0:
-                stack += (self.right[node], self.left[node])
-        rank = [0] * len(order)
-        for new, old in enumerate(order):
-            rank[old] = new
-        self.feature = [self.feature[i] for i in order]
-        self.threshold = [self.threshold[i] for i in order]
-        self.counts = [self.counts[i] for i in order]
-        self.left, self.right = (
-            [-1 if child[i] < 0 else rank[child[i]] for i in order]
-            for child in (self.left, self.right)
-        )
-
-
-def _forest_trees(feature, threshold, left, right, counts, sizes, in_bags) -> list[_Tree]:
-    """The trees of a forest from its node lists, concatenated tree by tree.
-
-    Tree t holds the next ``sizes[t]`` nodes, in preorder, with ``left`` and
-    ``right`` counted from its root; ``counts`` gives two ints per node.  One
-    array is made per field for the whole forest, and each tree gets its
-    slices of them.  Trained and loaded trees are both made here, so a tree
-    read back from its file equals the one that was grown, field by field.
-    """
-    arrays = [np.asarray(values, dtype=np.int64) for values in (feature, left, right, counts)]
-    arrays.insert(1, np.asarray(threshold, dtype=np.float64))
-    arrays[-1] = arrays[-1].reshape(-1, 2)
-    ends = np.cumsum(sizes).tolist()
-    return [_Tree(*(a[lo:hi] for a in arrays), in_bag)
-            for lo, hi, in_bag in zip([0] + ends[:-1], ends, in_bags)]
-
-
-def _splittable(hp: RFHyperParams, rows, counts, depth: int) -> bool:
-    if hp.max_depth is not None and depth >= hp.max_depth:
-        return False
-    return rows.size >= hp.min_samples_split and counts[0] > 0 and counts[1] > 0  # impure
-
-
-def _depth_first(nodes: _Nodes, rows, counts, hp: RFHyperParams, draw):
-    """Grow one tree depth first, left subtree first.
-
-    A generator: it yields the requests (see :func:`_best_splits`) of the
-    nodes it needs searched and is sent back their splits.
-    """
-    stack = [(rows, counts, 0, -1, True)]
-    while stack:
-        rows, counts, depth, parent, is_left = stack.pop()
-        node = nodes.alloc(counts, parent, is_left)
-        if not _splittable(hp, rows, counts, depth):
-            continue
-        (split,) = yield [(rows, counts[0], draw())]
-        if split is None:
-            continue
-        nodes.set_split(node, split)
-        # push right first so the left subtree is grown first
-        stack.append((*split.right, depth + 1, node, False))
-        stack.append((*split.left, depth + 1, node, True))
-
-
-def _best_first(nodes: _Nodes, rows, counts, hp: RFHyperParams, draw):
-    """Grow one tree by largest impurity decrease until max_leaf_nodes leaves.
-
-    Equal decreases split in the order they were found.  A generator like
-    :func:`_depth_first`; the children of the last split are not searched,
-    as no split of theirs could be applied.
-    """
-    heap: list = []
-    tick = 0  # FIFO tie-break for equal decreases
-    leaves = 1
-    grown = [(nodes.alloc(counts), rows, counts, 0)]
-    while True:
-        asks = [g for g in grown if _splittable(hp, *g[1:])]
-        if asks:
-            splits = yield [(rows, counts[0], draw()) for _, rows, counts, _ in asks]
-            for (node, _, _, depth), split in zip(asks, splits):
-                if split is not None:
-                    heapq.heappush(heap, (-split.decrease, tick, node, depth, split))
-                    tick += 1
-        if not heap:
-            return
-        _, _, node, depth, split = heapq.heappop(heap)
-        nodes.set_split(node, split)
-        leaves += 1
-        grown = [
-            (nodes.alloc(counts, node, is_left), rows, counts, depth + 1)
-            for (rows, counts), is_left in ((split.left, True), (split.right, False))
-        ]
-        if leaves >= hp.max_leaf_nodes:
-            return
-
-
-# Values scored by one _best_splits call at most.  It bounds the call's
-# temporaries (about 120 bytes a value) when a wide forest starts with many
-# large nodes; calls this size or smaller are no slower per value.
+# Values scored by one _best_splits call at most: a bound on a step's
+# temporaries (about 150 bytes a value) when wide forests start with many
+# large nodes.
 _VALUES_PER_CALL = 1 << 13
 
 
@@ -435,76 +278,265 @@ def _sorted_choices(draws: np.ndarray, n_features: int, mtry: int) -> np.ndarray
     return picks.reshape(*lead, -1, mtry)
 
 
-def _feature_draws(first: np.ndarray, rng, bounds: np.ndarray, n_features: int, mtry: int):
-    """A tree's sorted feature draws, one node at a time: its first batch,
-    then batches drawn from its own stream as it needs them."""
-    yield from first
-    while True:
-        yield from _sorted_choices(rng.integers(0, bounds), n_features, mtry)
+class _Draws:
+    """The sorted feature draws of a lockstep's trees, node by node: each
+    tree's first :data:`_DRAW_BATCH` from its bootstrap call, then batches
+    from its own stream as it uses them up.  Tree t's draws fill the first
+    ``mtry[t]`` columns of ``picks``; -1 fills the rest."""
+
+    def __init__(self, picks: np.ndarray, rngs: list, n_features: int, mtry: np.ndarray):
+        self.picks = picks  # (trees, draws so far, widest mtry)
+        self.rngs, self.n_features, self.mtry = rngs, n_features, mtry
+        self.filled = np.full(len(rngs), _DRAW_BATCH)
+        self.used = np.zeros(len(rngs), dtype=np.int64)
+
+    def take(self, trees: np.ndarray, again: np.ndarray) -> np.ndarray:
+        """The next draw of each of ``trees``, or the one after it where
+        ``again`` is 1: a tree's second node in one step."""
+        k = self.used[trees] + again
+        np.add.at(self.used, trees, 1)
+        short = k >= self.filled[trees]
+        if short.any():
+            self._refill(np.unique(trees[short]))
+        return self.picks[trees, k]
+
+    def _refill(self, trees: np.ndarray) -> None:
+        at = self.filled[trees]
+        if at.max() + _DRAW_BATCH > self.picks.shape[1]:
+            more = np.full_like(self.picks[:, :_DRAW_BATCH], -1)
+            self.picks = np.concatenate([self.picks, more], axis=1)
+        for mtry in np.unique(self.mtry[trees]).tolist():
+            of_width = trees[self.mtry[trees] == mtry]
+            bounds = _choice_bounds(self.n_features, mtry, _DRAW_BATCH)
+            draws = np.stack([self.rngs[t].integers(0, bounds) for t in of_width.tolist()])
+            places = self.filled[of_width, None] + np.arange(_DRAW_BATCH)
+            self.picks[of_width[:, None], places, :mtry] = _sorted_choices(
+                draws, self.n_features, mtry)
+        self.filled[trees] += _DRAW_BATCH
 
 
-def _grow_forest(X, is_plastic, hp: RFHyperParams) -> list[_Tree]:
-    """Grow all trees of a forest in lockstep.
+def _forest_trees(feature, threshold, left, right, counts, sizes, in_bags) -> list[_Tree]:
+    """The trees of a forest from its node lists, concatenated tree by tree.
 
-    Each tree keeps its own seeded stream, bootstrap and node order.  One
-    ``integers`` call per tree draws its bootstrap and the features of its
-    first :data:`_DRAW_BATCH` nodes, exactly as ``integers(0, n, size=n)``
-    and as many sorted ``choice`` calls would; the draws of all trees are
-    turned into feature picks together.  At every step each tree with work
-    left takes the features of its next node(s), and :func:`_best_splits`
-    scores the nodes of all trees together, so each tree is the one it
-    would be if grown alone.  The trees come out with their nodes in
-    preorder, through :func:`_forest_trees`.
+    Tree t holds the next ``sizes[t]`` nodes, in preorder, with ``left`` and
+    ``right`` counted from its root; ``counts`` gives two ints per node.  One
+    array is made per field for the whole forest, and each tree gets its
+    slices of them.  Trained and loaded trees are both made here, so a tree
+    read back from its file equals the one that was grown, field by field.
     """
-    n, n_features = X.shape
-    mtry = min(hp.mtry, n_features)
-    grow = _depth_first if hp.max_leaf_nodes is None else _best_first
-    bounds = np.concatenate([np.full(n, n), _choice_bounds(n_features, mtry, _DRAW_BATCH)])
-    rngs = [seeded_rng(hp.seed, "tree", t) for t in range(hp.n_trees)]
-    draws = np.empty((hp.n_trees, bounds.size), dtype=np.int64)
-    for t, rng in enumerate(rngs):
-        draws[t] = rng.integers(0, bounds)
-    in_bags = draws[:, :n]
-    firsts = _sorted_choices(draws[:, n:], n_features, mtry)
-    n_plastics = is_plastic[in_bags].sum(axis=1).tolist()
-    trees, waiting = [], []
-    for rng, in_bag, first, n_plastic in zip(rngs, in_bags, firsts, n_plastics):
-        nodes = _Nodes()
-        trees.append((nodes, in_bag))
-        draw = _feature_draws(first, rng, bounds[n:], n_features, mtry).__next__
-        waiting.append((grow(nodes, in_bag, (n_plastic, n - n_plastic), hp, draw), None))
+    arrays = [np.asarray(values, dtype=np.int64) for values in (feature, left, right, counts)]
+    arrays.insert(1, np.asarray(threshold, dtype=np.float64))
+    arrays[-1] = arrays[-1].reshape(-1, 2)
+    ends = np.cumsum(sizes).tolist()
+    return [_Tree(*(a[lo:hi] for a in arrays), in_bag)
+            for lo, hi, in_bag in zip([0] + ends[:-1], ends, in_bags)]
+
+
+def _grow_forests(X, is_plastic, jobs) -> list[list[_Tree]]:
+    """The trees of every job, grown together in one lockstep.
+
+    A job is ``(rows, hp)``: the forest of ``hp`` on the rows ``X[rows]``, the
+    very trees it would have grown alone, its ``in_bag`` counted in
+    ``rows``.  One ``integers`` call per tree draws its bootstrap and the
+    features of its first :data:`_DRAW_BATCH` nodes, exactly as
+    ``integers(0, n, size=n)`` and as many sorted ``choice`` calls would; its
+    own stream refills them later (:class:`_Draws`).
+
+    All bootstraps lie in one row buffer, and a node is a ``[lo, lo + size)``
+    range of its tree's part: a search leaves a node's rows sorted by its
+    best split's feature, so that its children are the two ends of its range
+    (the ``samples[start:end]`` layout of scikit-learn, across trees and
+    forests).  At every step each tree searches its next nodes: the top of
+    its stack of open nodes (depth first, left subtree first), or its new
+    children (best first under ``max_leaf_nodes``).  :func:`_best_splits`
+    scores the nodes of all trees together.  A depth-first tree splits a
+    node at once.  A best-first tree keeps its found splits as candidates
+    and applies the one of largest decrease, the first found on ties, until
+    it has ``max_leaf_nodes`` leaves.  Nodes are kept in creation order and
+    renumbered in preorder at the end, and the trees come out through
+    :func:`_forest_trees`.
+    """
+    N, n_features = X.shape
     Xt = np.ascontiguousarray(X.T)
-    ranks = np.array([np.unique(column, return_inverse=True)[1] for column in Xt])
-    plastic = is_plastic.astype(np.int64)
-    per_call = max(1, _VALUES_PER_CALL // (n * mtry))
-    while waiting:
-        asked_by, requests = [], []
-        for tree, splits in waiting:
-            try:
-                asked = tree.send(splits)
-            except StopIteration:
-                continue
-            asked_by.append((tree, len(asked)))
-            requests += asked
-        splits = [
-            split
-            for at in range(0, len(requests), per_call)
-            for split in _best_splits(Xt, ranks, plastic, requests[at:at + per_call],
-                                      hp.min_samples_leaf)
-        ]
-        waiting, at = [], 0
-        for tree, k in asked_by:
-            waiting.append((tree, splits[at:at + k]))
-            at += k
-    if hp.max_leaf_nodes is not None:  # best-first growth numbers nodes as they split
-        for nodes, _ in trees:
-            nodes.to_preorder()
-    return _forest_trees(
-        *(list(chain.from_iterable(getattr(nodes, name) for nodes, _ in trees))
-          for name in ("feature", "threshold", "left", "right", "counts")),
-        [len(nodes.feature) for nodes, _ in trees],
-        [in_bag for _, in_bag in trees],
+    ranks = np.concatenate([np.unique(column, return_inverse=True)[1] for column in Xt])
+    plastic = is_plastic.astype(np.float64)
+    # trees are numbered job by job
+    width = max(min(hp.mtry, n_features) for _, hp in jobs)
+    buf = np.empty(sum(len(rows) * hp.n_trees for rows, hp in jobs), dtype=np.int64)
+    picks, rngs, in_bags, n_plastic, tree_hp, filled = [], [], [], [], [], 0
+    for rows, hp in jobs:
+        n, mtry = len(rows), min(hp.mtry, n_features)
+        job_rngs = [seeded_rng(hp.seed, "tree", t) for t in range(hp.n_trees)]
+        bounds = np.concatenate([np.full(n, n), _choice_bounds(n_features, mtry, _DRAW_BATCH)])
+        drawn = np.empty((hp.n_trees, bounds.size), dtype=np.int64)
+        for t, rng in enumerate(job_rngs):
+            drawn[t] = rng.integers(0, bounds)
+        in_bag = drawn[:, :n]
+        job_picks = np.full((hp.n_trees, _DRAW_BATCH, width), -1)
+        job_picks[:, :, :mtry] = _sorted_choices(drawn[:, n:], n_features, mtry)
+        picks.append(job_picks)
+        rngs += job_rngs
+        buf[filled:filled + in_bag.size] = rows[in_bag].ravel()
+        filled += in_bag.size
+        in_bags += list(in_bag)
+        n_plastic.append(is_plastic[rows][in_bag].sum(axis=1))
+        tree_hp += [(n, mtry, hp.max_depth or N, hp.min_samples_split,
+                     hp.min_samples_leaf, hp.max_leaf_nodes or 0)] * hp.n_trees
+    n_of, m_of, max_depth, min_split, min_leaf, max_leaves = np.array(tree_hp).T
+    T = len(in_bags)
+    feature_draws = _Draws(np.concatenate(picks), rngs, n_features, m_of)
+
+    # the node table, a row per node in creation order; row t < T is tree t's root
+    TREE, LO, SIZE, PLASTIC, DEPTH, LEFT, FEATURE, N_LEFT, P_LEFT = range(9)
+    nodes = np.empty((4 * T, 9), dtype=np.int64)
+    threshold = np.empty(4 * T)
+    nodes[:T, :LEFT + 1] = np.stack([np.arange(T), np.cumsum(n_of) - n_of, n_of,
+                                     np.concatenate(n_plastic), np.zeros_like(n_of),
+                                     np.full(T, -1)], 1)
+    count = T
+
+    def splittable(rows):
+        t, size, p = rows[:, TREE], rows[:, SIZE], rows[:, PLASTIC]
+        return (rows[:, DEPTH] < max_depth[t]) & (size >= min_split[t]) & (p > 0) & (p < size)
+
+    def search(ids):
+        """Search the nodes ``ids`` (in tree order) with their trees' next
+        feature draws; returns the ids that found a split and its decrease."""
+        rows = nodes[ids]
+        trees = rows[:, TREE]
+        again = np.zeros(ids.size, dtype=np.int64)  # a tree's second node this step
+        again[1:] = trees[1:] == trees[:-1]
+        feats = feature_draws.take(trees, again)
+        feats = feats[feats >= 0]
+        lo, size, p = rows[:, LO], rows[:, SIZE], rows[:, PLASTIC]
+        m, leaf = m_of[trees], min_leaf[trees]
+        # calls of whole nodes, of about _VALUES_PER_CALL values each
+        ends = (size * m).cumsum()
+        bounds = np.arange(_VALUES_PER_CALL, ends[-1], _VALUES_PER_CALL)
+        at = [0, *ends.searchsorted(bounds).tolist(), ids.size]
+        seg_end = m.cumsum()
+        won = []
+        for a, b in zip(at, at[1:]):
+            if a < b:
+                node, *rest = _best_splits(Xt, ranks, plastic, buf, lo[a:b], size[a:b], p[a:b],
+                                            leaf[a:b], feats[seg_end[a] - m[a]:seg_end[b - 1]],
+                                            m[a:b])
+                won.append((node + a, *rest))
+        node, decrease, f, thr, n_left, p_left = (
+            won[0] if len(won) == 1 else [np.concatenate(part) for part in zip(*won)])
+        node = ids[node]
+        nodes[node, FEATURE], nodes[node, N_LEFT], nodes[node, P_LEFT] = f, n_left, p_left
+        threshold[node] = thr
+        return node, decrease
+
+    def split(parents):
+        """Make the children of ``parents`` from their found splits, left then
+        right; returns their ids and rows."""
+        nonlocal nodes, threshold, count
+        rows = nodes[parents]
+        kids = rows.repeat(2, axis=0)
+        kids[:, DEPTH] += 1
+        kids[:, LEFT] = -1
+        left, right = kids[0::2], kids[1::2]
+        left[:, SIZE], left[:, PLASTIC] = rows[:, N_LEFT], rows[:, P_LEFT]
+        right[:, LO] += rows[:, N_LEFT]
+        right[:, SIZE] -= rows[:, N_LEFT]
+        right[:, PLASTIC] -= rows[:, P_LEFT]
+        at, count = count, count + len(kids)
+        if count > len(nodes):
+            nodes = np.concatenate([nodes, np.empty_like(nodes[:count])])
+            threshold = np.concatenate([threshold, np.empty_like(threshold[:count])])
+        nodes[at:count] = kids
+        nodes[parents, LEFT] = np.arange(at, count, 2)
+        return np.arange(at, count), kids
+
+    open_roots = np.flatnonzero(splittable(nodes[:T]))
+    depth_first = max_leaves[open_roots] == 0
+    # depth first: a stack of open nodes per tree, as deep as the tree
+    stack, top = np.empty((T, 8), dtype=np.int64), np.zeros(T, dtype=np.int64)
+    stack[open_roots[depth_first], 0] = open_roots[depth_first]
+    top[open_roots[depth_first]] = 1
+    # best first: the children to search next, and per tree its found splits
+    # as candidates in the order found, so that the first maximum is the
+    # first found, with the nodes that found them
+    pending = open_roots[~depth_first]
+    growing = np.flatnonzero(max_leaves > 0)
+    if growing.size:
+        slots = int(np.minimum(2 * max_leaves - 1, 2 * n_of - 1)[growing].max())
+        candidate = np.full((T, slots), -np.inf)
+        candidate_node = np.empty((T, slots), dtype=np.int64)
+        n_candidates, leaves = np.zeros(T, dtype=np.int64), np.ones(T, dtype=np.int64)
+    while True:
+        trees = top.nonzero()[0]
+        top[trees] -= 1
+        ids = stack[trees, top[trees]]
+        if pending.size:  # best-first children, merged in tree order
+            ids = np.concatenate([ids, pending])
+            ids = ids[np.argsort(nodes[ids, TREE], kind="stable")]
+        if ids.size:
+            found, decrease = search(ids)
+            t = nodes[found, TREE]
+            now = max_leaves[t] == 0
+            if now.any():  # depth first: split now, and push the children to search
+                kids, rows = split(found[now])
+                ok = splittable(rows)
+                deep = t[now]
+                if top[deep].max() + 2 > stack.shape[1]:
+                    stack = np.concatenate([stack, stack], axis=1)
+                for side in (1, 0):  # the right child first, so that the left is searched next
+                    push = deep[ok[side::2]]
+                    stack[push, top[push]] = kids[side::2][ok[side::2]]
+                    top[push] += 1
+            if not now.all():  # best first: keep the splits as candidates
+                found, decrease, t = found[~now], decrease[~now], t[~now]
+                again = np.zeros(t.size, dtype=np.int64)
+                again[1:] = t[1:] == t[:-1]
+                slot = n_candidates[t] + again
+                candidate[t, slot], candidate_node[t, slot] = decrease, found
+                np.add.at(n_candidates, t, 1)
+        popped = 0
+        if growing.size:  # best first: apply each tree's best candidate
+            slot = candidate[growing].argmax(axis=1)
+            has = candidate[growing, slot] > -np.inf
+            growing, slot = growing[has], slot[has]
+            popped = growing.size
+            candidate[growing, slot] = -np.inf
+            kids, rows = split(candidate_node[growing, slot])
+            leaves[growing] += 1
+            more = leaves[growing] < max_leaves[growing]
+            pending = kids[splittable(rows) & more.repeat(2)]
+            growing = growing[more]
+        if not (ids.size or popped):
+            break
+
+    # preorder: subtree sizes from the deepest parents up, then places from the roots down
+    tree, depth, left = nodes[:count, TREE], nodes[:count, DEPTH], nodes[:count, LEFT]
+    inner = left >= 0
+    parents = np.flatnonzero(inner)
+    parents = parents[np.argsort(depth[parents], kind="stable")]
+    levels = np.split(parents, np.flatnonzero(np.diff(depth[parents])) + 1)
+    sub = np.ones(count, dtype=np.int64)
+    for level in reversed(levels):
+        sub[level] += sub[left[level]] + sub[left[level] + 1]
+    pre = np.zeros(count, dtype=np.int64)
+    for level in levels:
+        pre[left[level]] = pre[level] + 1
+        pre[left[level] + 1] = pre[level] + 1 + sub[left[level]]
+    sizes = np.bincount(tree, minlength=T)
+    out = np.empty(count, dtype=np.int64)  # the nodes, tree by tree in preorder
+    out[(np.cumsum(sizes) - sizes)[tree] + pre] = np.arange(count)
+    inner, kids, p = inner[out], left[out], nodes[out, PLASTIC]
+    trees = _forest_trees(
+        np.where(inner, nodes[out, FEATURE], -1),
+        np.where(inner, threshold[out], 0.0),
+        np.where(inner, pre[kids], -1),
+        np.where(inner, pre[kids + 1], -1),
+        np.stack([p, nodes[out, SIZE] - p], 1),
+        sizes.tolist(),
+        in_bags,
     )
+    ends = np.cumsum([hp.n_trees for _, hp in jobs]).tolist()
+    return [trees[end - hp.n_trees:end] for (_, hp), end in zip(jobs, ends)]
 
 
 @dataclass(eq=False)
@@ -549,8 +581,8 @@ class RFModel:
 
     @cached_property
     def _tables(self) -> list:
-        """Per tree, :func:`_compile`'s ``(splits, table)`` or None."""
-        return [_compile(tree) for tree in self.trees]
+        """Per tree, :func:`_lookup_tables`'s ``(splits, table)`` or None."""
+        return _lookup_tables(self)
 
 
 def _walk(model: RFModel, X: np.ndarray, tree: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -568,6 +600,44 @@ def _walk(model: RFModel, X: np.ndarray, tree: np.ndarray, row: np.ndarray) -> n
         node[split] = np.where(go_left, left[at], right[at])
         split = split[feature[node[split]] >= 0]
     return plastic[node]
+
+
+def _lookup_tables(model: RFModel) -> list:
+    """Per tree, its QuickScorer lookup table (Lucchese et al., SIGIR 2015) as
+    ``(splits, table)``, or None past :data:`_TABLE_MAX_SPLITS` splits.
+
+    Split node k of m, in node order, sets bit m - 1 - k of a row's code when
+    the row goes left, and ``splits[k]`` is its (feature, threshold);
+    ``table[code]`` is the plastic vote (a uint8) of the leaf the code
+    reaches.  All (tree, code) pairs of the tabled trees walk the joined
+    nodes level by level, bit m - 1 - k of the code choosing the side of
+    split k, in blocks of whole trees of about :data:`_WALK_PAIRS` pairs.
+    """
+    feature, threshold, left, right, plastic, root = model._nodes
+    inner = feature >= 0
+    before = np.cumsum(inner) - inner  # the splits before each node, trees in order
+    m = np.add.reduceat(inner, root, dtype=np.int64)
+    bit = np.repeat(m + before[root] - 1, np.diff(root, append=len(feature))) - before
+    tabled = np.flatnonzero(m <= _TABLE_MAX_SPLITS)
+    n_codes = 1 << m[tabled]
+    start = np.concatenate([[0], np.cumsum(n_codes)])  # each tabled tree's first pair
+    votes = np.empty(start[-1], dtype=np.uint8)
+    cuts = np.unique(np.searchsorted(start, np.arange(0, start[-1], _WALK_PAIRS))).tolist()
+    for a, b in zip(cuts, [*cuts[1:], tabled.size]):
+        node = root[np.repeat(tabled[a:b], n_codes[a:b])]
+        code = np.arange(start[a], start[b]) - np.repeat(start[a:b], n_codes[a:b])
+        split = np.flatnonzero(inner[node])
+        while split.size:
+            at = node[split]
+            node[split] = np.where((code[split] >> bit[at]) & 1, left[at], right[at])
+            split = split[inner[node[split]]]
+        votes[start[a]:start[b]] = plastic[node]
+    features, thresholds = feature[inner].tolist(), threshold[inner].tolist()
+    tables = [None] * len(root)
+    for t, at, k, lo, hi in zip(tabled.tolist(), before[root[tabled]].tolist(),
+                                m[tabled].tolist(), start[:-1].tolist(), start[1:].tolist()):
+        tables[t] = list(zip(features[at:at + k], thresholds[at:at + k])), votes[lo:hi]
+    return tables
 
 
 def _blocks(trees: np.ndarray, n_rows: int):
@@ -594,7 +664,7 @@ def train_rf(table: SampleTable, spec: FeatureSetSpec, hp: RFHyperParams) -> RFM
 
 def _fit_rf(X, y, spec: FeatureSetSpec, hp: RFHyperParams) -> RFModel:
     """:func:`train_rf` on checked two-class features of canonically sorted rows."""
-    trees = _grow_forest(X, y == PLASTIC, hp)
+    (trees,) = _grow_forests(X, y == PLASTIC, [(np.arange(len(y)), hp)])
     model = RFModel(spec=spec, hyperparams=hp, trees=trees, n_train=len(y))
     model._training = (X, y)
     return model
@@ -665,7 +735,7 @@ def predict_rf_batch(model: RFModel, X: np.ndarray) -> np.ndarray:
     """Majority vote over trees for each row; ties go to plastic.
 
     A batch of fewer than :data:`_TABLE_MIN_ROWS` rows walks every tree.  A
-    larger one goes through the trees' lookup tables, compiled on first use,
+    larger one goes through the trees' lookup tables, built on first use,
     and walks only the trees past :data:`_TABLE_MAX_SPLITS` splits.
     """
     X = np.asarray(X, dtype=np.float64)

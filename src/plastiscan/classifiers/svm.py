@@ -127,15 +127,23 @@ class SVMModel:
         return len(self.dual_coefs)
 
 
-def _solve(K: np.ndarray, y: np.ndarray, hp: SVMHyperParams) -> np.ndarray:
+def _curvature(K: np.ndarray) -> np.ndarray:
+    """``max(K_ii + K_jj - 2 K_ij, 1e-12)`` for every pair (i, j): the
+    second-order term of an SMO step on the pair, clamped where it is 0."""
+    diag = np.diag(K)
+    return np.maximum(diag[:, None] + diag - K * 2.0, 1e-12)
+
+
+def _solve(K: np.ndarray, curvature: np.ndarray, y: np.ndarray, hp: SVMHyperParams) -> np.ndarray:
     """Dual coefficients by SMO with second-order working-set selection.
 
     Minimises ``a'Qa / 2 - sum(a)`` over ``0 <= a <= C``, ``y'a = 0`` with
     ``Q = yy' * K`` (LIBSVM's WSS2; Fan, Chen & Lin, JMLR 2005).  ``F`` holds
     ``-y * grad``.  Each iteration takes the maximal violator ``i`` in I_up,
-    pairs it with the ``j`` in I_low of largest second-order gain, and moves
-    ``alpha_i`` by ``+y_i t`` and ``alpha_j`` by ``-y_j t``.  It stops when the
-    pair gap ``max F[I_up] - min F[I_low]`` is below ``hp.tolerance``.
+    pairs it with the ``j`` in I_low of largest second-order gain (with
+    ``curvature`` from :func:`_curvature`), and moves ``alpha_i`` by ``+y_i t``
+    and ``alpha_j`` by ``-y_j t``.  It stops when the pair gap ``max F[I_up] -
+    min F[I_low]`` is below ``hp.tolerance``.
 
     An iteration is a fixed run of whole-array operations into buffers made
     once.  The sets are kept as offsets added to ``F`` (0 inside, -inf
@@ -146,25 +154,21 @@ def _solve(K: np.ndarray, y: np.ndarray, hp: SVMHyperParams) -> np.ndarray:
     C, n = float(hp.C), len(y)
     limit = hp.max_passes * n
     pos, sign = (y > 0).tolist(), y.tolist()
-    diag = np.diag(K)
     alpha = [0.0] * n
     F = y.copy()  # grad = -1 at alpha = 0
     off_up = np.where(y > 0, 0.0, -np.inf)  # alpha = 0: I_up holds y > 0, I_low y < 0
     off_low = np.where(y > 0, np.inf, 0.0)
-    score, b, a, work = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    score, b, work = np.empty(n), np.empty(n), np.empty(n)
     skip = np.empty(n, dtype=bool)
     for it in range(limit + 1):
         i = int(np.add(F, off_up, out=score).argmax())
-        gap = F[i] - np.add(F, off_low, out=work).min()
+        gap = F[i] - np.minimum.reduce(np.add(F, off_low, out=work))
         if gap < hp.tolerance:
             return np.array(alpha)
         if it == limit:
             break
-        K_i = K[i]
+        K_i, a = K[i], curvature[i]
         np.subtract(F[i], F, out=b)
-        np.add(diag[i], diag, out=a)  # a = max(diag_i + diag - 2 K_i, 1e-12)
-        np.subtract(a, np.multiply(K_i, 2.0, out=work), out=a)
-        np.maximum(a, 1e-12, out=a)
         np.negative(b, out=score)  # -b * b / a over the rows of I_low with b > 0
         np.multiply(score, b, out=score)
         np.divide(score, a, out=score)
@@ -222,6 +226,12 @@ def train_svm(table: SampleTable, spec: FeatureSetSpec, hp: SVMHyperParams) -> S
 
 def _fit_svm(X, labels, spec: FeatureSetSpec, hp: SVMHyperParams) -> SVMModel:
     """:func:`train_svm` on checked two-class features of canonically sorted rows."""
+    return _svm_solve(_svm_problem(X, labels, spec, hp.sigma), spec, hp)
+
+
+def _svm_problem(X, labels, spec: FeatureSetSpec, sigma: float) -> tuple:
+    """``(scaler, scaled rows, labels as +-1, kernel, curvature)`` of a fit:
+    its part that C and the solver settings do not change."""
     y = np.where(labels == PLASTIC, 1.0, -1.0)
 
     mean = X.mean(axis=0)
@@ -238,9 +248,15 @@ def _fit_svm(X, labels, spec: FeatureSetSpec, hp: SVMHyperParams) -> SVMModel:
     scaler = Scaler(mean=mean, sd=sd, kept=kept)
     Xs = scaler.transform(X)
 
-    K = _rbf_matrix(Xs, Xs, hp.sigma)
+    K = _rbf_matrix(Xs, Xs, sigma)
     K = (K + K.T) / 2.0  # exact symmetry for the solver
-    alpha = _solve(K, y, hp)
+    return scaler, Xs, y, K, _curvature(K)
+
+
+def _svm_solve(problem: tuple, spec: FeatureSetSpec, hp: SVMHyperParams) -> SVMModel:
+    """The model of a :func:`_svm_problem` built with ``hp.sigma``."""
+    scaler, Xs, y, K, curvature = problem
+    alpha = _solve(K, curvature, y, hp)
     bias = _final_bias(K, y, alpha, hp.C)
 
     support = alpha > _BOUND_EPS * hp.C

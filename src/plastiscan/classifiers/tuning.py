@@ -3,7 +3,10 @@
 The table is sorted canonically and featurised once; folds are a fold-id array
 over that one feature matrix, assigned per class: seeded shuffle, round-robin.
 Each fit takes the other folds' rows, already in canonical order; a matrix
-cell runs the same search on its training rows, as arrays.  The winner
+cell runs the same search on its training rows, as arrays.  The forests of
+an RF search grow together, whole forests in one lockstep
+(``forest._grow_forests``); an SVM search builds the scaled rows and kernel
+of each (fold, sigma) pair once and solves them for every C.  The winner
 maximises mean fold accuracy; exact ties resolve toward the smaller C then
 smaller sigma (SVM) or the smaller mtry (RF), preferring the simpler model.
 """
@@ -20,8 +23,15 @@ from ..dataset import SampleTable, _class_ranks, _labels, feature_matrix
 from ..errors import FoldTooSmallError
 from ..rng import derive_seed
 from ..spectra import FeatureSetSpec, PLASTIC, WATER
-from .forest import RFHyperParams, _check_mtry, _fit_rf, predict_rf_batch
-from .svm import SVMHyperParams, _fit_svm, predict_svm_batch
+from .forest import (
+    RFHyperParams,
+    RFModel,
+    _check_mtry,
+    _fit_rf,
+    _grow_forests,
+    predict_rf_batch,
+)
+from .svm import SVMHyperParams, _fit_svm, _svm_problem, _svm_solve, predict_svm_batch
 
 __all__ = [
     "DEFAULT_SIGMA_GRID",
@@ -77,6 +87,12 @@ class GridSearchResult:
     cv_table: tuple[CVEntry, ...]
 
 
+# Trees grown in one lockstep at most: every forest of a reduced grid, or two
+# 500-tree forests of a default one.  It bounds the growth state and the
+# forests held until scored; larger locksteps were no faster.
+_LOCKSTEP_TREES = 1000
+
+
 def _fold_ids(y: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Fold of each row, for rows in canonical order: per class, a seeded
     permutation of its rows dealt round-robin over the ``k`` folds."""
@@ -111,10 +127,11 @@ def _searcher(y, spec: FeatureSetSpec, algo: str, grid: GridSpec, seed: int, rf_
     then argument errors.  Returns the search, which takes the rows' feature
     matrix, and the fit and predict functions of ``algo``."""
     fold = _fold_ids(y, grid.cv_folds, seed)
+    folds = range(grid.cv_folds)
     if algo == "rf":
         base = rf_base if rf_base is not None else RFHyperParams()
         mtry_grid = grid.mtry_grid or tuple(range(1, spec.n_features + 1))
-        for mtry in mtry_grid:  # before any fit: _grow_forest would clamp it
+        for mtry in mtry_grid:  # before any fit: growth would clamp it
             _check_mtry(mtry, spec)
         points = [{"mtry": mtry} for mtry in mtry_grid]
         fit, predict = _fit_rf, predict_rf_batch
@@ -126,17 +143,34 @@ def _searcher(y, spec: FeatureSetSpec, algo: str, grid: GridSpec, seed: int, rf_
         raise ValueError(f"algo must be 'svm' or 'rf', got {algo!r}")
 
     def search(X: np.ndarray) -> GridSearchResult:
-        entries: list[CVEntry] = []
-        for params in points:
-            hp = replace(base, **params)
-            accs = []
-            for held in range(grid.cv_folds):
-                fits = fold != held
-                if algo == "rf":  # the SVM solver draws no randomness
-                    hp = replace(hp, seed=derive_seed(seed, "cv-fit", hp.mtry, held))
-                model = fit(X[fits], y[fits], spec, hp)
-                accs.append(float(np.mean(predict(model, X[~fits]) == y[~fits])))
-            entries.append(CVEntry(params, tuple(accs), float(np.mean(accs))))
+        accs = []  # per fit, in (point, fold) order
+
+        def score(model, held: int) -> None:
+            out = fold == held
+            accs.append(float(np.mean(predict(model, X[out]) == y[out])))
+
+        if algo == "rf":  # whole forests grown in lockstep, up to _LOCKSTEP_TREES trees at once
+            fits = [(held, replace(base, **params,
+                                   seed=derive_seed(seed, "cv-fit", params["mtry"], held)))
+                    for params in points for held in folds]
+            step = max(1, _LOCKSTEP_TREES // base.n_trees)
+            for at in range(0, len(fits), step):
+                jobs = [(np.flatnonzero(fold != held), hp) for held, hp in fits[at:at + step]]
+                forests = _grow_forests(X, y == PLASTIC, jobs)
+                for (held, _), (rows, hp), trees in zip(fits[at:at + step], jobs, forests):
+                    score(RFModel(spec=spec, hyperparams=hp, trees=trees, n_train=len(rows)), held)
+        else:  # the problem of a (fold, sigma) pair serves every C
+            problems = {}
+            for params in points:
+                hp = replace(base, **params)
+                for held in folds:
+                    if (held, hp.sigma) not in problems:
+                        rows = fold != held
+                        problems[held, hp.sigma] = _svm_problem(X[rows], y[rows], spec, hp.sigma)
+                    score(_svm_solve(problems[held, hp.sigma], spec, hp), held)
+        k = len(folds)
+        entries = [CVEntry(params, tuple(accs[at:at + k]), float(np.mean(accs[at:at + k])))
+                   for params, at in zip(points, range(0, len(accs), k))]
         best = min(entries, key=lambda e: (-e.mean_accuracy, *e.params.values()))
         return GridSearchResult(best=replace(base, **best.params), cv_table=tuple(entries))
 

@@ -35,7 +35,7 @@ from .dataset import (
     save_samples,
     spectral_profile,
 )
-from .errors import DataError, EmptyInputError, NumericError, _read_json
+from .errors import DataError, EmptyInputError, MissingBandError, NumericError, _read_json
 from .experiment import classify_scene, export_matrix, render_matrix_text, run_matrix
 from .metrics import (
     confusion,
@@ -390,7 +390,10 @@ def _cmd_tune(cfg: dict) -> None:
 def _cmd_predict_scene(cfg: dict) -> None:
     stack = read_stack(cfg["in"])
     model = load_model(cfg["model_file"])
-    labels = classify_scene(stack, model)
+    try:
+        labels = classify_scene(stack, model)
+    except MissingBandError as exc:  # the stack lacks a band of the model's feature set
+        raise MissingBandError(f"{Path(cfg['in']).name}: {exc}") from None
     write_label_map(labels, cfg["out"])
     n_plastic = int((labels.labels == PLASTIC).sum())
     n_water = int((labels.labels == WATER).sum())

@@ -342,6 +342,31 @@ def build_test_case(
 ) -> SampleTable:
     """All plastic samples plus ``multiplier * n_plastic`` waters drawn
     without replacement; output order is a seeded shuffle."""
+    rng, rows = _test_case_draw(plastic_pool, water_pool, case, seed)
+    order = rng.permutation(len(rows))
+    return SampleTable(tuple(rows[i] for i in order))
+
+
+def _canonical_test_case(
+    plastic_pool: SampleTable, water_pool: SampleTable, case: TestCaseSpec, seed: int
+) -> SampleTable:
+    """``build_test_case(...).canonical()`` without the shuffle that the sort
+    undoes: the same draw, merged in canonical order.  Each pool's keys are
+    unique already, so a key in both pools is the only repeat there can be,
+    and it sorts next to itself."""
+    rows = sorted(_test_case_draw(plastic_pool, water_pool, case, seed)[1], key=Sample.sort_key)
+    keys = [s.key() for s in rows]
+    for key, after in zip(keys, keys[1:]):
+        if key == after:
+            raise DuplicateKeyError(f"duplicate sample key {key}")
+    return SampleTable._of_checked(tuple(rows))
+
+
+def _test_case_draw(
+    plastic_pool: SampleTable, water_pool: SampleTable, case: TestCaseSpec, seed: int
+) -> tuple[np.random.Generator, list[Sample]]:
+    """The checks and the water draw of :func:`build_test_case`: its stream,
+    then the plastic rows and the drawn water rows, each in canonical order."""
     for pool, want in ((plastic_pool, PLASTIC), (water_pool, WATER)):
         bad = [s for s in pool if s.label != want]
         if bad:
@@ -360,9 +385,7 @@ def build_test_case(
     water = water_pool.canonical().rows
     rng = seeded_rng(seed, "test-case", case.water_multiplier)
     chosen = rng.choice(len(water), size=need, replace=False)
-    combined = list(plastic) + [water[i] for i in sorted(chosen)]
-    order = rng.permutation(len(combined))
-    return SampleTable(tuple(combined[i] for i in order))
+    return rng, list(plastic) + [water[i] for i in sorted(chosen)]
 
 
 # --- splitting -------------------------------------------------------------

@@ -30,8 +30,8 @@ from .classifiers import (
     predict_svm_batch,
 )
 from .classifiers.tuning import _searcher
-from .dataset import TEST_CASES, SampleTable, TestCaseSpec, build_test_case, feature_matrix
-from .dataset import _labels, _train_mask
+from .dataset import TEST_CASES, SampleTable, TestCaseSpec, feature_matrix
+from .dataset import _canonical_test_case, _labels, _train_mask
 from .errors import PlastiscanError
 from .metrics import (
     METRIC_KEYS,
@@ -103,9 +103,9 @@ def run_cell(
     case = TestCaseSpec(test_case_id)
     cell_seed = derive_seed(master_seed, model_id, test_case_id, algo)
     try:
-        table = build_test_case(
+        table = _canonical_test_case(
             plastic_pool, water_pool, case, seed=derive_seed(cell_seed, "assemble")
-        ).canonical()
+        )
         # Any subset of these rows, taken in index order, is already in its own
         # canonical order: the order that train_rf and train_svm would sort into.
         y = _labels(table.rows)

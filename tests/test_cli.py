@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from plastiscan.cli import main
 from plastiscan.dataset import FRACTION_CATEGORIES, load_samples
 from plastiscan.errors import DataError, InvalidSampleError, MissingBandError
 from plastiscan.metrics import METRIC_KEYS
-from plastiscan.raster import compute_index_raster, read_label_map
+from plastiscan.raster import compute_index_raster, read_label_map, write_stack
 from plastiscan.spectra import PLASTIC, WATER
 from plastiscan.synth import load_endmembers
 
@@ -216,6 +217,19 @@ class TestExitCodes:
                            "--out", str(tmp_path / "labels.pgm"))
         assert code == 2
         assert "n_train" in err
+
+    def test_stack_without_a_model_band_names_the_stack(self, capsys, rf_small, scene_files,
+                                                       tmp_path):
+        stack = read_stack(scene_files[0])
+        path = tmp_path / "no_b6.json"
+        write_stack(replace(stack, grids={b: g for b, g in stack.grids.items() if b != "B6"}),
+                    path)
+        model_path = tmp_path / "rf.json"
+        save_model(rf_small, model_path)  # a Model2 forest, which reads B6
+        code, _, err = run(capsys, "predict-scene", "--in", str(path),
+                           "--model-file", str(model_path), "--out", str(tmp_path / "l.pgm"))
+        assert code == 2
+        assert err == "plastiscan: no_b6.json: Model2: missing source band(s) B6\n"
 
     @pytest.mark.parametrize("field, bad", [("max_passes", True), ("seed", 2.5)])
     def test_svm_hyperparam_types_are_data_errors(self, capsys, svm_small, scene_files,

@@ -21,7 +21,7 @@ from plastiscan import (
     save_model,
     train_rf,
 )
-from plastiscan.classifiers import forest
+from plastiscan.classifiers import forest, tuning
 from plastiscan.classifiers.forest import RFModel, _Tree, _best_splits
 from plastiscan.dataset import Sample, SampleTable
 from plastiscan.errors import (
@@ -35,6 +35,7 @@ from plastiscan.errors import (
 from plastiscan.rng import seeded_rng
 from plastiscan.spectra import MODEL_SPECS, FeatureVector, PixelSpectrum
 
+import cv_oracle
 import forest_oracle
 import scene_oracle
 from conftest import band_spec, table_from_features
@@ -397,6 +398,126 @@ class TestLockstepGrowth:
         assert min(splits) > forest._DRAW_BATCH, splits
 
 
+def assert_jobs_match_oracle(X, y, jobs):
+    """Forests grown together in one lockstep equal, tree by tree and field
+    by field, the per-node reference grown on each job's rows alone."""
+    forests = forest._grow_forests(X, y == PLASTIC, jobs)
+    assert len(forests) == len(jobs)
+    for (rows, hp), trees in zip(jobs, forests):
+        expected = forest_oracle.grow_forest(table_from_features(X[rows], y[rows]),
+                                             band_spec(X.shape[1]), hp)
+        assert len(trees) == len(expected) == hp.n_trees
+        for tree, ref in zip(trees, expected):
+            for name in forest_oracle.FIELDS:
+                got, want = getattr(tree, name), ref[name]
+                assert got.dtype == want.dtype and got.shape == want.shape, name
+                assert got.tobytes() == want.tobytes(), name
+    return forests
+
+
+def tied_matrix(n, n_features, seed):
+    table = tied_table(n, n_features, seed)
+    return (np.array([[s.spectrum.band(b) for b in band_spec(n_features).members]
+                      for s in table.rows]),
+            np.array([s.label for s in table.rows]))
+
+
+class TestBatchedGrowth:
+    """Jobs of mixed shapes on subsets of one matrix, grown in one lockstep."""
+
+    def test_mixed_mtry_on_fold_subsets(self):
+        X, y = tied_matrix(60, 4, seed=21)
+        fold = np.arange(60) % 3
+        jobs = [(np.flatnonzero(fold != held),
+                 RFHyperParams(n_trees=5, mtry=mtry, seed=10 * mtry + held))
+                for mtry in (2, 4, 1) for held in range(3)]  # mtry = k included, out of order
+        assert_jobs_match_oracle(X, y, jobs)
+
+    @pytest.mark.parametrize("limits", [
+        {"max_depth": 3}, {"min_samples_leaf": 3},
+        {"max_leaf_nodes": 5, "max_depth": 3}, {"max_leaf_nodes": 6, "min_samples_leaf": 3},
+    ], ids=["depth_first_max_depth", "depth_first_min_leaf", "best_first_max_depth",
+            "best_first_min_leaf"])
+    def test_growth_orders_and_limits(self, limits):
+        X, y = tied_matrix(80, 3, seed=22)
+        rows = [np.arange(80), np.arange(0, 80, 2), np.arange(25, 80)]
+        jobs = [(r, RFHyperParams(n_trees=6, mtry=1 + k % 3, seed=k, **limits))
+                for k, r in enumerate(rows)]
+        assert_jobs_match_oracle(X, y, jobs)
+
+    def test_both_orders_in_one_lockstep(self):
+        X, y = tied_matrix(70, 3, seed=23)
+        jobs = [(np.arange(70), RFHyperParams(n_trees=4, mtry=2, seed=1)),
+                (np.arange(10, 70), RFHyperParams(n_trees=4, mtry=2, max_leaf_nodes=4, seed=2)),
+                (np.arange(0, 60), RFHyperParams(n_trees=3, mtry=1, max_depth=2, seed=3))]
+        assert_jobs_match_oracle(X, y, jobs)
+
+    def test_equal_decreases_split_in_the_order_found(self):
+        # symmetric rows: two candidates of equal decrease, one split left
+        X = np.c_[[0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9] * 2]
+        y = np.array([P, W, W, P, P, W, W, P] * 2)
+        jobs = [(np.arange(8), RFHyperParams(n_trees=40, mtry=1, max_leaf_nodes=3, seed=0)),
+                (np.arange(16), RFHyperParams(n_trees=40, mtry=1, max_leaf_nodes=3, seed=1))]
+        assert_jobs_match_oracle(X, y, jobs)
+
+    def test_trees_that_use_up_their_first_feature_draws(self):
+        _, X, y = uniform_table(n=240, n_features=4, seed=24)
+        jobs = [(np.arange(240), RFHyperParams(n_trees=3, mtry=1, seed=1)),
+                (np.arange(0, 240, 3), RFHyperParams(n_trees=3, mtry=2, seed=2)),
+                (np.arange(200), RFHyperParams(n_trees=3, mtry=2, seed=3))]
+        forests = assert_jobs_match_oracle(X, y, jobs)
+        splits = [int((tree.feature >= 0).sum()) for tree in forests[0] + forests[2]]
+        assert min(splits) > forest._DRAW_BATCH, splits
+
+    def test_single_leaf_trees(self):
+        rng = np.random.default_rng(25)
+        X = rng.uniform(size=(30, 2))
+        y = np.array([PLASTIC] + [WATER] * 29)
+        jobs = [(np.arange(1, 30), RFHyperParams(n_trees=2, mtry=1, seed=1)),  # water only
+                (np.arange(30), RFHyperParams(n_trees=8, mtry=2, seed=2)),
+                (np.arange(30), RFHyperParams(n_trees=3, mtry=1, max_leaf_nodes=3, seed=3))]
+        forests = assert_jobs_match_oracle(X, y, jobs)
+        assert all(len(tree.feature) == 1 for tree in forests[0])
+        assert min(len(tree.feature) for tree in forests[1]) == 1
+
+    def test_calls_cut_to_the_value_bound(self, monkeypatch):
+        # many calls per step, each of whole nodes, some over the bound alone
+        monkeypatch.setattr(forest, "_VALUES_PER_CALL", 50)
+        X, y = tied_matrix(60, 3, seed=26)
+        jobs = [(np.arange(60), RFHyperParams(n_trees=5, mtry=3, seed=1)),
+                (np.arange(0, 60, 2), RFHyperParams(n_trees=5, mtry=1, seed=2))]
+        assert_jobs_match_oracle(X, y, jobs)
+
+    @pytest.mark.parametrize("lockstep_trees", [1, 12, 2000])
+    def test_rf_search_equals_cv_oracle(self, monkeypatch, lockstep_trees):
+        # one forest per lockstep, some forests per lockstep, all of them
+        monkeypatch.setattr(tuning, "_LOCKSTEP_TREES", lockstep_trees)
+        table = tied_table(60, 3, seed=27)
+        kwargs = dict(spec=band_spec(3), algo="rf", grid=GridSpec(cv_folds=3), seed=4,
+                      rf_base=RFHyperParams(n_trees=6))
+        got = grid_search(table, **kwargs)
+        want = cv_oracle.grid_search(table, **kwargs)
+        assert got.best == want.best
+        assert [(e.params, e.fold_accuracies, e.mean_accuracy) for e in got.cv_table] == [
+            (e.params, e.fold_accuracies, e.mean_accuracy) for e in want.cv_table]
+
+    @pytest.mark.parametrize("profile", ["final_profile", "unbounded"])
+    def test_tables_from_one_walk_equal_per_tree_compiles(self, default_pool, profile):
+        spec = MODEL_SPECS["Model2"]
+        hp = (RFHyperParams.final_profile(spec.n_features, seed=5) if profile == "final_profile"
+              else RFHyperParams.matrix_profile(mtry=1, seed=5, n_trees=60))
+        trees = train_rf(default_pool, spec, hp).trees
+        trees += [random_tree(m, n_features=2, seed=m) for m in range(14)]
+        got = forest_of(trees, n_features=spec.n_features)._tables
+        want = [forest_oracle.compile_tree(tree) for tree in trees]
+        assert [g is None for g in got] == [w is None for w in want]
+        assert any(w is None for w in want) and any(w is not None for w in want)
+        for g, w in zip(got, want):
+            if w is not None:
+                assert g[0] == w[0]
+                assert g[1].dtype == w[1].dtype and g[1].tobytes() == w[1].tobytes()
+
+
 class TestBulkFeatureDraws:
     """One ``integers`` call draws a tree's bootstrap and the features of its
     first nodes exactly as the bootstrap call and successive sorted
@@ -423,15 +544,33 @@ class TestBulkFeatureDraws:
             np.testing.assert_array_equal(picks, np.array(expected))
 
 
+def best_splits(Xt, plastic, nodes, min_leaf):
+    """``_best_splits`` of nodes given as (rows, sorted features), each in its
+    own range of a fresh buffer; returns the buffer and the splits found."""
+    ranks = np.concatenate([np.unique(column, return_inverse=True)[1] for column in Xt])
+    buf = np.concatenate([rows for rows, _ in nodes])
+    size = np.array([len(rows) for rows, _ in nodes])
+    n_plastic = np.array([int(plastic[rows].sum()) for rows, _ in nodes])
+    feats = np.concatenate([features for _, features in nodes])
+    m = np.array([len(features) for _, features in nodes])
+    found = _best_splits(Xt, ranks, plastic.astype(np.float64), buf, np.cumsum(size) - size,
+                         size, n_plastic, np.full(len(nodes), min_leaf), feats, m)
+    return buf, found
+
+
 def search(X, y, features, min_leaf=1):
-    """The split ``_best_splits`` picks for one node holding every row."""
+    """The split ``_best_splits`` picks for one node holding every row, as
+    ``(decrease, feature, threshold, left, right)`` with each child ``(rows,
+    (n_plastic, n_water))``, or None."""
     Xt = np.array(X, dtype=np.float64).T
-    ranks = np.array([np.unique(column, return_inverse=True)[1] for column in Xt])
-    plastic = (np.asarray(y) == PLASTIC).astype(np.int64)
-    rows = np.arange(Xt.shape[1])
-    request = (rows, int(plastic.sum()), np.array(features))
-    (split,) = _best_splits(Xt, ranks, plastic, [request], min_leaf)
-    return split
+    plastic = np.asarray(y) == PLASTIC
+    buf, (node, decrease, feature, threshold, n_left, p_left) = best_splits(
+        Xt, plastic, [(np.arange(Xt.shape[1]), np.array(features))], min_leaf)
+    if not node.size:
+        return None
+    n, p, nl, pl = Xt.shape[1], int(plastic.sum()), int(n_left[0]), int(p_left[0])
+    return (float(decrease[0]), int(feature[0]), float(threshold[0]),
+            (buf[:nl], (pl, nl - pl)), (buf[nl:], (p - pl, n - nl - p + pl)))
 
 
 class TestSplitRules:
@@ -479,24 +618,24 @@ class TestSplitRules:
     def test_batched_nodes_split_as_they_would_alone(self):
         rng = np.random.default_rng(13)
         X = rng.choice([0.1, 0.4, 0.7], size=(30, 3))
-        y = rng.choice([P, W], size=30)
+        plastic = rng.choice([P, W], size=30) == P
         Xt = X.T.copy()
-        ranks = np.array([np.unique(column, return_inverse=True)[1] for column in Xt])
-        plastic = (y == P).astype(np.int64)
-        requests = []
-        for _ in range(12):
-            rows = rng.integers(0, 30, size=int(rng.integers(2, 30)))
-            feats = np.sort(rng.choice(3, size=2, replace=False))
-            requests.append((rows, int(plastic[rows].sum()), feats))
-        together = _best_splits(Xt, ranks, plastic, requests, 2)
-        for request, split in zip(requests, together):
-            (alone,) = _best_splits(Xt, ranks, plastic, [request], 2)
-            if alone is None:
-                assert split is None
+        nodes = [(rng.integers(0, 30, size=int(rng.integers(2, 30))),
+                  np.sort(rng.choice(3, size=int(rng.integers(1, 4)), replace=False)))
+                 for _ in range(12)]  # multisets of rows, and one to three features each
+        buf, together = best_splits(Xt, plastic, nodes, 2)
+        lo = np.cumsum([len(rows) for rows, _ in nodes]) - [len(rows) for rows, _ in nodes]
+        got = {int(b): values for b, *values in zip(*together)}
+        for b, node in enumerate(nodes):
+            alone_buf, (found, *alone) = best_splits(Xt, plastic, [node], 2)
+            if not found.size:
+                assert b not in got
                 continue
-            assert split[:3] == alone[:3]
-            for a, b in zip(split[3:], alone[3:]):
-                assert sorted(a[0].tolist()) == sorted(b[0].tolist()) and a[1] == b[1]
+            assert got[b] == [value[0] for value in alone]
+            n_left, size = int(alone[3][0]), len(node[0])
+            for side in (slice(0, n_left), slice(n_left, size)):
+                assert (sorted(buf[lo[b]:lo[b] + size][side].tolist())
+                        == sorted(alone_buf[side].tolist()))
 
     def test_min_samples_leaf_holds_in_every_node(self):
         table, _, _ = uniform_table(n=50, n_features=3, seed=14)
@@ -557,7 +696,7 @@ class TestCompiledTree:
     @pytest.mark.parametrize("m", [0, 1, 5, 7, 8, 9, 12, 13])  # codes of 8 bits, then 16
     def test_table_matches_walk(self, m, seed):
         tree = random_tree(m, n_features=2, seed=seed)
-        assert (forest._compile(tree) is None) == (m > 12)  # 13 splits fall back to the walk
+        assert (forest_of([tree])._tables[0] is None) == (m > 12)  # 13 splits: the walk
         X = probe_rows(np.random.default_rng(100 + seed))
         expected = scene_oracle.tree_classes(tree, X)
         for layout in (X, np.asfortranarray(X)):
@@ -644,9 +783,9 @@ class TestTablesOnLargeBatchesOnly:
         self, monkeypatch, default_pool, tc1_split, plastic_pool, water_pool, tmp_path
     ):
         compiled = []
-        compile_tree = forest._compile
-        monkeypatch.setattr(forest, "_compile",
-                            lambda tree: compiled.append(tree) or compile_tree(tree))
+        lookup_tables = forest._lookup_tables
+        monkeypatch.setattr(forest, "_lookup_tables",
+                            lambda model: compiled.append(model) or lookup_tables(model))
         spec = MODEL_SPECS["Model5"]
         model = train_rf(default_pool, spec, RFHyperParams.final_profile(3, seed=0))
         save_model(model, tmp_path / "rf.json")
@@ -664,9 +803,9 @@ class TestTablesOnLargeBatchesOnly:
         large = np.zeros((forest._TABLE_MIN_ROWS, 3))
         np.testing.assert_array_equal(predict_rf_batch(loaded, large)[:len(small)],
                                       predict_rf_batch(model, small))
-        assert all(a is b for a, b in zip(compiled, loaded.trees, strict=True))
+        assert compiled == [loaded]
         predict_rf_batch(loaded, np.zeros((4096, 3)))
-        assert len(compiled) == len(loaded.trees)  # compiled once, then kept
+        assert compiled == [loaded]  # compiled once, then kept
 
 
 @pytest.fixture(scope="module")

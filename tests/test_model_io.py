@@ -63,14 +63,14 @@ class TestRoundTrip:
     )
     def test_rf_table_and_walk_survive_round_trip(self, default_pool, tmp_path, hp, all_tables):
         model = train_rf(default_pool, MODEL_SPECS["Model5"], hp)
-        tables = [forest._compile(tree) is not None for tree in model.trees]
+        tables = [compiled is not None for compiled in model._tables]
         # final_profile trees all compile; the unbounded forest keeps at least
         # one tree past 12 splits on the level walk
         assert all(tables) == all_tables
         path = tmp_path / "rf.json"
         save_model(model, path)
         loaded = load_model(path)
-        assert [forest._compile(tree) is not None for tree in loaded.trees] == tables
+        assert [compiled is not None for compiled in loaded._tables] == tables
         X = probe_matrix(model)
         for rows in (len(X), forest._TABLE_MIN_ROWS - 1):  # tables, then the walk
             np.testing.assert_array_equal(predict_rf_batch(model, X[:rows]),
@@ -169,7 +169,7 @@ class TestLoadedTreesEqualTrained:
         path = tmp_path / "rf.json"
         save_model(model, path)
         loaded = load_model(path)
-        untabled = [forest._compile(tree) is None for tree in model.trees]
+        untabled = [compiled is None for compiled in model._tables]
         assert any(untabled) == (profile == "unbounded")
         for tree, back in zip(model.trees, loaded.trees, strict=True):
             for name in TREE_FIELDS:

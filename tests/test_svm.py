@@ -306,7 +306,7 @@ def solver_inputs(X, labels, sigma):
 def solve_both(X, labels, hp):
     """svm._solve's alphas, required equal bit for bit to the reference's."""
     K, y = solver_inputs(X, labels, hp.sigma)
-    got, want = svm._solve(K, y, hp), svm_oracle.solve(K, y, hp)
+    got, want = svm._solve(K, svm._curvature(K), y, hp), svm_oracle.solve(K, y, hp)
     np.testing.assert_array_equal(got, want)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     return got
@@ -364,7 +364,7 @@ class TestSolverMatchesReference:
         hp = SVMHyperParams(C=10.0, sigma=0.09, tolerance=1e-12, max_passes=1)
         K, y_pm = solver_inputs(X, y, hp.sigma)
         with pytest.raises(ConvergenceError) as got:
-            svm._solve(K, y_pm, hp)
+            svm._solve(K, svm._curvature(K), y_pm, hp)
         with pytest.raises(ConvergenceError) as want:
             svm_oracle.solve(K, y_pm, hp)
         assert str(got.value) == str(want.value)
