@@ -622,7 +622,7 @@ def _lookup_tables(model: RFModel) -> list:
     n_codes = 1 << m[tabled]
     start = np.concatenate([[0], np.cumsum(n_codes)])  # each tabled tree's first pair
     votes = np.empty(start[-1], dtype=np.uint8)
-    cuts = np.unique(np.searchsorted(start, np.arange(0, start[-1], _WALK_PAIRS))).tolist()
+    cuts = sorted(set(np.searchsorted(start, np.arange(0, start[-1], _WALK_PAIRS)).tolist()))
     for a, b in zip(cuts, [*cuts[1:], tabled.size]):
         node = root[np.repeat(tabled[a:b], n_codes[a:b])]
         code = np.arange(start[a], start[b]) - np.repeat(start[a:b], n_codes[a:b])

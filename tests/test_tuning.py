@@ -28,7 +28,7 @@ from plastiscan.classifiers.tuning import (
     grid_search,
 )
 from plastiscan.dataset import Sample, SampleTable
-from plastiscan.errors import DegenerateDenominatorError, FoldTooSmallError
+from plastiscan.errors import ConvergenceError, DegenerateDenominatorError, FoldTooSmallError
 from plastiscan.spectra import PixelSpectrum
 
 import cv_oracle
@@ -177,6 +177,20 @@ class TestCVOracle:
         if pool == "tied":
             means = [e.mean_accuracy for e in got.cv_table]
             assert len(set(means)) < len(means)
+
+    def test_first_convergence_error_equals_oracle(self):
+        # at one SMO pass, (C=2, sigma=0.09) is the first point to fail in
+        # (C, sigma, fold) order and (C=10, sigma=0.03) in (sigma, C, fold)
+        # order; their messages differ in the KKT gap
+        make, spec, seed = self.POOLS["tc1-model2"]
+        table = make()
+        kwargs = dict(spec=spec, algo="svm", seed=seed, svm_base=SVMHyperParams(max_passes=1),
+                      grid=GridSpec(sigma_grid=(0.03, 0.09), c_grid=(2.0, 10.0), cv_folds=3))
+        with pytest.raises(ConvergenceError) as got:
+            grid_search(table, **kwargs)
+        with pytest.raises(ConvergenceError) as want:
+            cv_oracle.grid_search(table, **kwargs)
+        assert str(got.value) == str(want.value)
 
 
 def band_sample(i, label, b4=0.05, b8=0.25):
