@@ -28,7 +28,11 @@ predict never pay for them.  One level walk (``_walk``) moves any set of
 OOB scores and small batches.  Batches of ``_TABLE_MIN_ROWS`` rows or more
 go through per-tree lookup tables of plastic votes for the trees of up to 12
 splits, built on first use from one walk of all (tree, code) pairs, and walk
-only the deeper trees.
+only the deeper trees, after the tables.  A row stops voting once its
+majority is settled (early exit; Cambazoglu et al., WSDM 2010): from the
+``n_trees // 2 + 1``-th vote on, at a few points, the rows that have won or
+can no longer win leave the batch, so that the later tables and walk blocks
+see only undecided rows, and every label is still the full vote's.
 """
 
 from __future__ import annotations
@@ -144,6 +148,12 @@ _TABLE_MIN_ROWS = 512
 # (tree, row) pairs walked at once at most, in blocks of whole trees: a bound
 # on the walk's temporaries (about 100 bytes a pair).
 _WALK_PAIRS = 1 << 16
+
+# (tree, code) pairs walked at once at most when the lookup tables are built,
+# in blocks of whole trees (about 75 bytes a pair).  A final_profile forest
+# (100 trees of at most 7 splits, 12,800 pairs) still takes one block, and a
+# 500-tree unbounded one peaks at under half the memory of _WALK_PAIRS blocks.
+_TABLE_WALK_PAIRS = 1 << 14
 
 
 def _gini(p: np.ndarray) -> np.ndarray:
@@ -611,7 +621,7 @@ def _lookup_tables(model: RFModel) -> list:
     ``table[code]`` is the plastic vote (a uint8) of the leaf the code
     reaches.  All (tree, code) pairs of the tabled trees walk the joined
     nodes level by level, bit m - 1 - k of the code choosing the side of
-    split k, in blocks of whole trees of about :data:`_WALK_PAIRS` pairs.
+    split k, in blocks of whole trees of about :data:`_TABLE_WALK_PAIRS` pairs.
     """
     feature, threshold, left, right, plastic, root = model._nodes
     inner = feature >= 0
@@ -622,7 +632,8 @@ def _lookup_tables(model: RFModel) -> list:
     n_codes = 1 << m[tabled]
     start = np.concatenate([[0], np.cumsum(n_codes)])  # each tabled tree's first pair
     votes = np.empty(start[-1], dtype=np.uint8)
-    cuts = sorted(set(np.searchsorted(start, np.arange(0, start[-1], _WALK_PAIRS)).tolist()))
+    blocks = np.searchsorted(start, np.arange(0, start[-1], _TABLE_WALK_PAIRS))
+    cuts = sorted(set(blocks.tolist()))
     for a, b in zip(cuts, [*cuts[1:], tabled.size]):
         node = root[np.repeat(tabled[a:b], n_codes[a:b])]
         code = np.arange(start[a], start[b]) - np.repeat(start[a:b], n_codes[a:b])
@@ -731,12 +742,27 @@ def rf_permutation_importance(model: RFModel, table: SampleTable) -> np.ndarray:
     return _oob_scores(model, *feature_matrix(table, model.spec))[1]
 
 
+def _settle_points(n_trees: int) -> list[int]:
+    """The counts of voted trees after which :func:`predict_rf_batch` labels
+    the rows whose majority is fixed: first after ``n_trees // 2 + 1`` trees,
+    the fewest after which a row can have lost, then at doubling distances."""
+    first = n_trees // 2 + 1
+    points = [first + (1 << i) - 1 for i in range(n_trees.bit_length())]
+    return [point for point in points if point < n_trees]
+
+
 def predict_rf_batch(model: RFModel, X: np.ndarray) -> np.ndarray:
     """Majority vote over trees for each row; ties go to plastic.
 
     A batch of fewer than :data:`_TABLE_MIN_ROWS` rows walks every tree.  A
     larger one goes through the trees' lookup tables, built on first use,
-    and walks only the trees past :data:`_TABLE_MAX_SPLITS` splits.
+    and walks only the trees past :data:`_TABLE_MAX_SPLITS` splits, after
+    them, in blocks.  A row stops voting once its label is settled (early
+    exit; Cambazoglu et al., WSDM 2010): at each of :func:`_settle_points`,
+    reached after a table or between walk blocks, a row with ``need = (n_trees
+    + 1) // 2`` plastic votes is plastic, one that cannot reach ``need`` with
+    the trees left is water, and both leave the rows, votes and feature
+    columns that the later trees see.  Every label is the full vote's.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.spec.n_features:
@@ -747,25 +773,59 @@ def predict_rf_batch(model: RFModel, X: np.ndarray) -> np.ndarray:
     if len(X) == 0:
         raise EmptyInputError("no rows to predict")
     n, n_trees = len(X), len(model.trees)
+    need = (n_trees + 1) // 2  # 2 * votes >= n_trees
+    plastic = np.zeros(n, dtype=bool)
+    rows = np.arange(n)  # the rows still voting, with their votes and feature columns
     votes = np.zeros(n, dtype=np.min_scalar_type(n_trees))  # holds n_trees
-    walked = np.arange(n_trees)
+    columns = np.ascontiguousarray(X.T)  # every split of every table reads a column
+    points, voted = _settle_points(n_trees), 0
+
+    def count(tree_votes, trees):
+        """Add the plastic votes of the next ``trees`` trees; at a settle
+        point, label the rows whose majority is fixed and drop them."""
+        nonlocal rows, votes, columns, voted
+        votes += tree_votes
+        voted += trees
+        if points and points[0] <= voted:
+            points[:] = [point for point in points if point > voted]
+            won = votes >= need
+            plastic[rows[won]] = True
+            still = np.flatnonzero(~won & (votes >= need - (n_trees - voted)))
+            rows, votes, columns = rows[still], votes[still], columns.take(still, axis=1)
+
+    tables, walked = [], np.arange(n_trees)
     if n >= _TABLE_MIN_ROWS:
-        X = np.asfortranarray(X)  # every split of every table reads a column
+        tables = [compiled for compiled in model._tables if compiled is not None]
         walked = np.flatnonzero([compiled is None for compiled in model._tables])
-        goes_left = np.empty(n, dtype=bool)
-        for splits, table in filter(None, model._tables):
-            # the code is built in place: adding it to itself shifts it left,
-            # and the split's outcome fills the new low bit
-            code = np.zeros(n, dtype=np.uint8 if len(splits) <= 8 else np.uint16)
-            for f, t in splits:
+    goes_left = np.empty(n, dtype=bool)
+    for splits, table in tables:
+        outcome = goes_left[:rows.size]
+        if splits:
+            # the code is built in place: the first split writes its bit (into
+            # an 8-bit code through a bool view), and each later one shifts the
+            # code left (adding it to itself) and ORs in a uint8 view of its
+            # outcomes, so that an 8-bit code casts nothing
+            code = np.empty(rows.size, dtype=np.uint8 if len(splits) <= 8 else np.uint16)
+            (f, t), *rest = splits
+            np.less_equal(columns[f], t, out=code.view(bool) if code.itemsize == 1 else code)
+            for f, t in rest:
                 np.add(code, code, out=code)
-                np.less_equal(X[:, f], t, out=goes_left)  # false for NaN: it goes right
-                code |= goes_left
-            votes += np.take(table, code)
-    for trees in _blocks(walked, n):
-        plastic = _walk(model, X, np.repeat(trees, n), np.tile(np.arange(n), trees.size))
-        votes += plastic.reshape(trees.size, n).sum(axis=0, dtype=votes.dtype)
-    return np.where(votes >= (n_trees + 1) // 2, PLASTIC, WATER)  # 2 * votes >= n_trees
+                np.less_equal(columns[f], t, out=outcome)  # false for NaN: it goes right
+                np.bitwise_or(code, outcome.view(np.uint8), out=code)
+            count(np.take(table, code, mode="clip"), 1)
+        else:  # a lone leaf
+            count(table[0], 1)
+        if not rows.size:
+            break
+    at = 0
+    while at < walked.size and rows.size:
+        k = rows.size
+        trees = walked[at:at + max(1, _WALK_PAIRS // k)]
+        at += trees.size
+        ballots = _walk(model, columns.T, np.repeat(trees, k), np.tile(np.arange(k), trees.size))
+        count(ballots.reshape(trees.size, k).sum(axis=0, dtype=votes.dtype), trees.size)
+    plastic[rows[votes >= need]] = True
+    return np.where(plastic, PLASTIC, WATER)
 
 
 def predict_rf(model: RFModel, fv: FeatureVector) -> int:

@@ -7,9 +7,13 @@ with ``sigma`` used directly as the exponential gain; the textbook
 ``sigma = 1 / (2 s^2)``.  Internally plastic maps to +1 and water to -1; the
 decision function is ``f(x) = sum_i dual_coef_i k(sv_i, x) + bias`` and a
 pixel is plastic when ``f(x) >= 0``.  Prediction evaluates it in fixed blocks
-of rows through the same kernel expression as training, so a scene never holds
+of rows through the same kernel function as training, so a scene never holds
 a whole pixels x support-vectors kernel and each row's value is the same
-whatever block it falls in.
+whatever block it falls in.  That function runs the kernel expression in
+place, one operation after another in the order written, in one buffer that
+every block of a call reuses, and a call squares the support vectors' norms
+once; the values are bit for bit those of the expression with a new array per
+operation.
 
 The solver is SMO with LIBSVM's second-order working-set selection (WSS2;
 Fan, Chen & Lin, JMLR 2005): each iteration updates the maximal violating row
@@ -101,13 +105,20 @@ def rbf_kernel(x, y, sigma: float) -> float:
     return math.exp(-sigma * float(diff @ diff))
 
 
-def _rbf_matrix(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
-    sq = (
-        np.sum(a * a, axis=1)[:, None]
-        + np.sum(b * b, axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    return np.exp(-sigma * np.maximum(sq, 0.0))
+def _rbf_matrix(a: np.ndarray, b: np.ndarray, sigma: float, b_sq=None, out=None) -> np.ndarray:
+    """``exp(-sigma * max(|a_i|^2 + |b_j|^2 - 2 a_i . b_j, 0))`` for every pair
+    of rows, each operation in the order written, evaluated in place in
+    ``out`` (a new (len(a), len(b)) array when None).  ``b_sq`` is ``b``'s
+    squared row norms, for a caller that uses one ``b`` many times."""
+    if b_sq is None:
+        b_sq = np.sum(b * b, axis=1)
+    sq = np.add(np.sum(a * a, axis=1)[:, None], b_sq, out=out)
+    gram = a @ b.T
+    gram *= 2.0
+    sq -= gram
+    np.maximum(sq, 0.0, out=sq)
+    sq *= -sigma
+    return np.exp(sq, out=sq)
 
 
 @dataclass(eq=False)
@@ -279,10 +290,13 @@ _BLOCK_ROWS = 1024
 
 
 def _decision_batch(model: SVMModel, X: np.ndarray) -> np.ndarray:
+    sv, sigma = model.support_vectors, model.hyperparams.sigma
+    sv_sq = np.sum(sv * sv, axis=1)
+    block = np.empty((min(len(X), _BLOCK_ROWS), len(sv)))  # every block's kernel, in turn
     out = np.empty(len(X))
     for at in range(0, len(X), _BLOCK_ROWS):
         Xs = model.scaler.transform(X[at:at + _BLOCK_ROWS])
-        K = _rbf_matrix(Xs, model.support_vectors, model.hyperparams.sigma)
+        K = _rbf_matrix(Xs, sv, sigma, sv_sq, block[:len(Xs)])
         out[at:at + _BLOCK_ROWS] = K @ model.dual_coefs + model.bias
     return out
 

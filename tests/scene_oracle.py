@@ -2,11 +2,13 @@
 
 ``classify_scene`` featurises and labels the scene in pixel blocks of
 ``experiment._BLOCK_PIXELS``, predicts through the forest's lookup tables or
-its forest-wide walk, and evaluates the SVM kernel in row blocks.  This
-module labels the same pixels by the plainest route: one feature matrix for
-the whole scene, a level walk of each tree on its own with a majority vote
-(ties to plastic), and one ``_rbf_matrix`` over the whole batch.  Tests
-require the package's labels and decision values to match it bit for bit.
+its forest-wide walk, where each pixel stops voting once its majority is
+settled, and evaluates the SVM kernel in place in row blocks.  This module
+labels the same pixels by the plainest route: one feature matrix for the
+whole scene, a level walk of each tree on its own with every tree's vote
+counted (ties to plastic), and one kernel over the whole batch, written as a
+single expression with its temporaries (``rbf_matrix``).  Tests require the
+package's labels and decision values to match it bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from plastiscan.classifiers.forest import RFModel
-from plastiscan.classifiers.svm import _rbf_matrix
 from plastiscan.raster import feature_columns
 from plastiscan.spectra import PLASTIC, WATER
 
@@ -45,10 +46,20 @@ def rf_labels(model, X: np.ndarray) -> np.ndarray:
     return np.where(2 * votes >= len(model.trees), PLASTIC, WATER)
 
 
+def rbf_matrix(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
+    """exp(-sigma * max(|a_i|^2 + |b_j|^2 - 2 a_i . b_j, 0)) for every pair of
+    rows, one new array per operation."""
+    sq = (
+        np.sum(a * a, axis=1)[:, None]
+        + np.sum(b * b, axis=1)[None, :]
+        - 2.0 * (a @ b.T)
+    )
+    return np.exp(-sigma * np.maximum(sq, 0.0))
+
+
 def svm_decision(model, X: np.ndarray) -> np.ndarray:
     """f(x) for every row from one kernel matrix over the whole batch."""
-    K = _rbf_matrix(model.scaler.transform(X), model.support_vectors,
-                    model.hyperparams.sigma)
+    K = rbf_matrix(model.scaler.transform(X), model.support_vectors, model.hyperparams.sigma)
     return K @ model.dual_coefs + model.bias
 
 

@@ -10,8 +10,13 @@ import pytest
 from plastiscan import (
     GridSpec,
     PLASTIC,
+    PatchSpec,
     RFHyperParams,
+    SynthConfig,
     WATER,
+    classify_scene,
+    gen_dataset,
+    gen_scene,
     grid_search,
     load_model,
     predict_rf,
@@ -731,6 +736,85 @@ class TestCompiledTree:
         for rows in (1, forest._TABLE_MIN_ROWS // 4):  # the walk, then the table
             assert predict_rf_batch(model, np.tile(X, (rows, 1))).tolist() == (
                 [WATER, PLASTIC, WATER, PLASTIC] * rows)
+
+
+def mixed_forest(n_trees, seed, cycled):
+    """A forest of random trees of 0 to 15 splits, so that 8-bit tables,
+    16-bit tables and walked trees mix.  ``cycled`` trees repeat four trees
+    of 2, 7, 10 and 14 splits, so that many rows' majorities settle early.
+    In an even forest the trees after the middle mirror trees 2 .. n/2, so
+    that a row ties unless trees 0 and 1 agree."""
+    sizes = [2, 7, 10, 14] if cycled else np.random.default_rng(seed).integers(0, 16, n_trees)
+    base = [random_tree(int(m), n_features=2, seed=100 * seed + s) for s, m in enumerate(sizes)]
+    trees = [base[t % len(base)] for t in range(n_trees)]
+    if n_trees % 2 == 0:
+        trees[n_trees // 2 + 1:] = [mirrored(tree) for tree in trees[2:n_trees // 2 + 1]]
+    return forest_of(trees)
+
+
+class TestSettledVotes:
+    """A row stops voting once its majority is settled; its label must still
+    be the full vote's, and the trees after that must never read it."""
+
+    @pytest.mark.parametrize("cycled", [False, True], ids=["random", "cycled"])
+    @pytest.mark.parametrize("n_trees", [1, 2, 3, 10, 100, 101, 255, 256])
+    def test_labels_equal_the_full_vote(self, n_trees, cycled):
+        model = mixed_forest(n_trees, seed=n_trees, cycled=cycled)
+        if n_trees >= 10:  # tables of both code widths, and walked trees
+            tables = model._tables
+            widths = {len(compiled[0]) <= 8 for compiled in tables if compiled is not None}
+            assert widths == {True, False} and None in tables
+        X = probe_rows(np.random.default_rng(n_trees), n=40_000)
+        expected = scene_oracle.rf_labels(model, X)
+        if n_trees % 2 == 0:
+            votes = sum(scene_oracle.tree_classes(tree, X[:511]) == PLASTIC
+                        for tree in model.trees)
+            assert (2 * votes == n_trees).any()  # ties, which must go to plastic
+        for n_rows in (511, 512, 4096, 40_000):  # the walk below 512 rows, tables from 512
+            for layout in (X[:n_rows], np.asfortranarray(X[:n_rows])):
+                got = predict_rf_batch(model, layout)
+                assert got.dtype == expected.dtype
+                np.testing.assert_array_equal(got, expected[:n_rows])
+
+    def test_later_walk_blocks_see_only_undecided_rows(self, monkeypatch):
+        trees = [random_tree(13 + t % 3, n_features=2, seed=t % 3) for t in range(101)]
+        model = forest_of(trees)  # every tree walks
+        assert all(compiled is None for compiled in model._tables)
+        walked, walk = [], forest._walk
+        monkeypatch.setattr(forest, "_walk", lambda model, X, tree, row: (
+            walked.append(len(row)) or walk(model, X, tree, row)))
+        X = probe_rows(np.random.default_rng(7), n=40_000)
+        np.testing.assert_array_equal(predict_rf_batch(model, X), scene_oracle.rf_labels(model, X))
+        assert walked[0] == len(X)  # blocks of one tree each, all rows voting
+        assert sum(walked) < 0.7 * 101 * len(X)
+
+    @pytest.mark.parametrize("poison_splits", [3, 13], ids=["tabled", "walked"])
+    @pytest.mark.parametrize("vote", [(1, 0), (0, 1)], ids=["plastic", "water"])
+    def test_settled_rows_never_reach_later_trees(self, poison_splits, vote):
+        # 5 unanimous trees settle every row of a 9-tree forest; the next 4
+        # split on feature 7, which X lacks, and raise if they read a row
+        poison = random_tree(poison_splits, n_features=2, seed=5)
+        poison = poison._replace(feature=np.where(poison.feature >= 0, 7, -1))
+        model = forest_of([leaf_tree(vote)] * 5 + [poison] * 4)
+        assert (model._tables[-1] is None) == (poison_splits > 12)
+        X = probe_rows(np.random.default_rng(3), n=4096)
+        label = PLASTIC if vote == (1, 0) else WATER
+        assert predict_rf_batch(model, X).tolist() == [label] * len(X)
+        with pytest.raises(IndexError):  # below 512 rows, one walk block holds every tree
+            predict_rf_batch(model, X[:forest._TABLE_MIN_ROWS - 1])
+
+    def test_unbounded_500_tree_scene_equals_oracle(self):
+        # on the paper-sized pool, half of the trees are too deep for tables
+        pool = gen_dataset(SynthConfig(n_plastic=54, n_water=270, seed=0))
+        model = train_rf(pool, MODEL_SPECS["Model2"], RFHyperParams.matrix_profile(mtry=2, seed=1))
+        assert sum(compiled is None for compiled in model._tables) > 200
+        stack, _ = gen_scene(
+            SynthConfig(n_plastic=0, n_water=0, seed=24), width=128, height=128,
+            patches=(PatchSpec(row=10, col=20, height=30, width=40, fraction=0.9),
+                     PatchSpec(row=70, col=60, height=20, width=50, fraction=0.5)))
+        labels = classify_scene(stack, model).labels
+        assert labels.tobytes() == scene_oracle.classify_scene(stack, model).tobytes()
+        assert set(np.unique(labels).tolist()) == {PLASTIC, WATER}
 
 
 class TestImportances:

@@ -10,10 +10,12 @@ import pytest
 from plastiscan import (
     MODEL_SPECS,
     PLASTIC,
+    PatchSpec,
     SVMHyperParams,
     SynthConfig,
     WATER,
     gen_dataset,
+    gen_scene,
     predict_svm,
     predict_svm_batch,
     train_svm,
@@ -21,6 +23,7 @@ from plastiscan import (
 from plastiscan.classifiers import svm
 from plastiscan.classifiers.svm import Scaler, decision_function, rbf_kernel
 from plastiscan.dataset import SampleTable
+from plastiscan.dataset import _training_matrix
 from plastiscan.errors import (
     ClassTooSmallError,
     ConvergenceError,
@@ -30,6 +33,7 @@ from plastiscan.errors import (
     SingleClassError,
     SpecMismatchError,
 )
+from plastiscan.raster import feature_columns
 from plastiscan.spectra import FeatureVector
 
 import qp_oracle
@@ -413,3 +417,46 @@ class TestBlockedDecision:
         for start in range(n):  # row `start` first, so it lands at another block offset
             np.testing.assert_array_equal(
                 svm._decision_batch(svm_small, X[start:]).view(np.uint64), full[start:])
+
+
+def assert_kernel_bits(a, b, sigma):
+    """The in-place kernel, alone and as _decision_batch calls it (squared
+    norms given, into a slice of a larger buffer), equals the plain
+    expression bit for bit."""
+    plain = scene_oracle.rbf_matrix(a, b, sigma).view(np.uint64)
+    np.testing.assert_array_equal(svm._rbf_matrix(a, b, sigma).view(np.uint64), plain)
+    buffer = np.full((len(a) + 3, len(b)), np.nan)
+    K = svm._rbf_matrix(a, b, sigma, np.sum(b * b, axis=1), buffer[:len(a)])
+    assert np.shares_memory(K, buffer)
+    np.testing.assert_array_equal(K.view(np.uint64), plain)
+
+
+class TestInPlaceKernel:
+    """``_rbf_matrix`` runs the kernel expression in place; training and
+    prediction both go through it, so every entry must keep its bits."""
+
+    @pytest.mark.parametrize("sigma", [0.03, 0.09, 1.7])
+    @pytest.mark.parametrize("n", [1, 7, B - 1, B + 5])
+    def test_random_rows_bit_identical(self, n, sigma):
+        rng = np.random.default_rng(n)
+        a, b = rng.normal(size=(n, 5)), rng.normal(size=(37, 5))
+        a[0] = b[3]  # a zero distance, which rounding can make negative
+        assert_kernel_bits(a, b, sigma)
+
+    def test_scene_rows_bit_identical(self, svm_small):
+        stack, _ = gen_scene(
+            SynthConfig(n_plastic=0, n_water=0, seed=23), width=40, height=30,
+            patches=(PatchSpec(row=5, col=6, height=10, width=12, fraction=0.8),))
+        X = feature_columns({b: g.values.reshape(-1) for b, g in stack.grids.items()},
+                            svm_small.spec)
+        rows = svm_small.scaler.transform(X[np.isfinite(X).all(axis=1)])
+        assert len(rows) > B
+        assert_kernel_bits(rows, svm_small.support_vectors, svm_small.hyperparams.sigma)
+
+    @pytest.mark.parametrize("spec_id", sorted(MODEL_SPECS))
+    def test_training_kernel_bit_identical(self, default_pool, spec_id):
+        X, labels = _training_matrix(default_pool, MODEL_SPECS[spec_id])
+        scaler, Xs, _, K, _ = svm._svm_problem(X, labels, MODEL_SPECS[spec_id], 0.09)
+        assert_kernel_bits(Xs, Xs, 0.09)
+        plain = scene_oracle.rbf_matrix(Xs, Xs, 0.09)
+        np.testing.assert_array_equal(K.view(np.uint64), ((plain + plain.T) / 2.0).view(np.uint64))
