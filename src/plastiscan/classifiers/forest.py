@@ -25,14 +25,14 @@ Out-of-bag votes give the error curve and fuel permutation importances (mean
 decrease in OOB accuracy), worked out on first read, so that fits which only
 predict never pay for them.  One level walk (``_walk``) moves any set of
 (tree, row) pairs through the forest's joined nodes at once; it serves the
-OOB scores and small batches.  Batches of ``_TABLE_MIN_ROWS`` rows or more
-go through per-tree lookup tables of plastic votes for the trees of up to 12
-splits, built on first use from one walk of all (tree, code) pairs, and walk
-only the deeper trees, after the tables.  A row stops voting once its
+OOB scores and small batches.  Batches of ``_PROGRAM_MIN_ROWS`` rows or more
+run each tree's vote program, compiled on first use: its splits whose
+subtrees hold leaves of both votes, as whole-column comparisons and bool
+combines, with no branch and no lookup.  A row stops voting once its
 majority is settled (early exit; Cambazoglu et al., WSDM 2010): from the
 ``n_trees // 2 + 1``-th vote on, at a few points, the rows that have won or
-can no longer win leave the batch, so that the later tables and walk blocks
-see only undecided rows, and every label is still the full vote's.
+can no longer win leave the batch, so that the later programs and walk
+blocks see only undecided rows, and every label is still the full vote's.
 """
 
 from __future__ import annotations
@@ -135,25 +135,16 @@ class _Tree(NamedTuple):
     in_bag: np.ndarray | None
 
 
-# Trees with at most this many split nodes predict a large batch through a
-# lookup table of 2**m entries; deeper ones, which only unbounded growth
-# produces, walk.
-_TABLE_MAX_SPLITS = 12
-
-# Batches of fewer rows walk every tree: below this, compiling the tables on
-# first use costs more than walking (measured on final_profile and 500-tree
-# unbounded forests).
-_TABLE_MIN_ROWS = 512
+# Batches of fewer rows walk every tree, and larger ones run the trees' vote
+# programs, compiled on first use.  Timed on scene rows (2-core Xeon, NumPy
+# 2.4), compiling and running the programs beat the walk from about 200 rows
+# on a final_profile forest and from about 700 on a 500-tree unbounded one
+# (350 once compiled).
+_PROGRAM_MIN_ROWS = 512
 
 # (tree, row) pairs walked at once at most, in blocks of whole trees: a bound
 # on the walk's temporaries (about 100 bytes a pair).
 _WALK_PAIRS = 1 << 16
-
-# (tree, code) pairs walked at once at most when the lookup tables are built,
-# in blocks of whole trees (about 75 bytes a pair).  A final_profile forest
-# (100 trees of at most 7 splits, 12,800 pairs) still takes one block, and a
-# 500-tree unbounded one peaks at under half the memory of _WALK_PAIRS blocks.
-_TABLE_WALK_PAIRS = 1 << 14
 
 
 def _gini(p: np.ndarray) -> np.ndarray:
@@ -551,7 +542,7 @@ def _grow_forests(X, is_plastic, jobs) -> list[list[_Tree]]:
 
 @dataclass(eq=False)
 class RFModel:
-    """Trained forest.  Its OOB diagnostics, joined nodes and lookup tables are
+    """Trained forest.  Its OOB diagnostics, joined nodes and vote programs are
     built when first read, the diagnostics from the training (X, y) that
     :func:`train_rf` keeps; a model loaded from disk holds its file's values."""
 
@@ -589,10 +580,7 @@ class RFModel:
         base = np.repeat(root, sizes)
         return feature, threshold, left + base, right + base, counts[:, 0] >= counts[:, 1], root
 
-    @cached_property
-    def _tables(self) -> list:
-        """Per tree, :func:`_lookup_tables`'s ``(splits, table)`` or None."""
-        return _lookup_tables(self)
+    _programs = cached_property(lambda self: _vote_programs(self))
 
 
 def _walk(model: RFModel, X: np.ndarray, tree: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -612,43 +600,52 @@ def _walk(model: RFModel, X: np.ndarray, tree: np.ndarray, row: np.ndarray) -> n
     return plastic[node]
 
 
-def _lookup_tables(model: RFModel) -> list:
-    """Per tree, its QuickScorer lookup table (Lucchese et al., SIGIR 2015) as
-    ``(splits, table)``, or None past :data:`_TABLE_MAX_SPLITS` splits.
+def _vote_programs(model: RFModel) -> tuple[list, int]:
+    """Per tree, its plastic vote as a branch-free program (predication;
+    Asadi, Lin & de Vries, IEEE TKDE 2014), and the bool buffers they use.
 
-    Split node k of m, in node order, sets bit m - 1 - k of a row's code when
-    the row goes left, and ``splits[k]`` is its (feature, threshold);
-    ``table[code]`` is the plastic vote (a uint8) of the leaf the code
-    reaches.  All (tree, code) pairs of the tabled trees walk the joined
-    nodes level by level, bit m - 1 - k of the code choosing the side of
-    split k, in blocks of whole trees of about :data:`_TABLE_WALK_PAIRS` pairs.
+    Subtrees whose leaves all vote alike fold to that vote, 0 or 1, which is
+    the program of a tree that folds whole.  Any other program has a step
+    ``(f, t, c, combine)`` per split left, children first: ``columns[f] <= t``
+    (false for NaN, which goes right) into buffer c, then ``op(buf[a],
+    buf[b], out=buf[o])`` per ``(op, a, b, o)`` of ``combine``, ``buf[-1]``
+    being True, which leaves the split's vote in its buffer d.  Unfolded
+    children go first, the left one into d, so a chain of splits takes two
+    buffers.  Nothing recurses, however deep the tree.
     """
     feature, threshold, left, right, plastic, root = model._nodes
-    inner = feature >= 0
-    before = np.cumsum(inner) - inner  # the splits before each node, trees in order
-    m = np.add.reduceat(inner, root, dtype=np.int64)
-    bit = np.repeat(m + before[root] - 1, np.diff(root, append=len(feature))) - before
-    tabled = np.flatnonzero(m <= _TABLE_MAX_SPLITS)
-    n_codes = 1 << m[tabled]
-    start = np.concatenate([[0], np.cumsum(n_codes)])  # each tabled tree's first pair
-    votes = np.empty(start[-1], dtype=np.uint8)
-    blocks = np.searchsorted(start, np.arange(0, start[-1], _TABLE_WALK_PAIRS))
-    cuts = sorted(set(blocks.tolist()))
-    for a, b in zip(cuts, [*cuts[1:], tabled.size]):
-        node = root[np.repeat(tabled[a:b], n_codes[a:b])]
-        code = np.arange(start[a], start[b]) - np.repeat(start[a:b], n_codes[a:b])
-        split = np.flatnonzero(inner[node])
-        while split.size:
-            at = node[split]
-            node[split] = np.where((code[split] >> bit[at]) & 1, left[at], right[at])
-            split = split[inner[node[split]]]
-        votes[start[a]:start[b]] = plastic[node]
-    features, thresholds = feature[inner].tolist(), threshold[inner].tolist()
-    tables = [None] * len(root)
-    for t, at, k, lo, hi in zip(tabled.tolist(), before[root[tabled]].tolist(),
-                                m[tabled].tolist(), start[:-1].tolist(), start[1:].tolist()):
-        tables[t] = list(zip(features[at:at + k], thresholds[at:at + k])), votes[lo:hi]
-    return tables
+    inner = np.flatnonzero(feature >= 0)
+    mask = np.where(plastic, 1, 2) * (feature < 0)  # votes below: 1 plastic, 2 water, 3 both
+    while not np.array_equal(m := mask[left[inner]] | mask[right[inner]], mask[inner]):
+        mask[inner] = m
+    vote = (2 - mask).tolist()  # 1 plastic, 0 water, -1 unfolded
+    feature, threshold, left, right = (a.tolist() for a in (feature, threshold, left, right))
+    programs = []
+    for top in root.tolist():
+        # each split before its right then its left unfolded child, the
+        # reverse of the order the steps run in; a tree folded whole has none
+        steps, stack = [], [(top, 0)] if vote[top] < 0 else []
+        while stack:
+            node, d = stack.pop()
+            L, R = vote[left[node]], vote[right[node]]
+            if L < 0:
+                stack.append((left[node], d))
+            if R < 0:
+                stack.append((right[node], d + (L < 0)))
+            c = d + (L < 0) + (R < 0)
+            if L < 0 and R < 0:  # ((L ^ R) & c) ^ R, with L in d and R in d + 1
+                combine = ((np.bitwise_xor, d, d + 1, d), (np.bitwise_and, d, c, d),
+                           (np.bitwise_xor, d, d + 1, d))
+            elif L < 0:  # L | ~c (bool greater_equal) or L & c
+                combine = ((np.greater_equal if R else np.bitwise_and, d, c, d),)
+            elif R < 0:  # c | R or R & ~c (bool greater)
+                combine = ((np.bitwise_or if L else np.greater, d, c, d),)
+            else:  # c or ~c
+                combine = () if L else ((np.bitwise_xor, c, -1, c),)
+            steps.append((feature[node], threshold[node], c, combine))
+        programs.append(steps[::-1] or vote[top])
+    n_buffers = 1 + max((c for p in programs if type(p) is list for _, _, c, _ in p), default=0)
+    return programs, n_buffers
 
 
 def _blocks(trees: np.ndarray, n_rows: int):
@@ -754,15 +751,15 @@ def _settle_points(n_trees: int) -> list[int]:
 def predict_rf_batch(model: RFModel, X: np.ndarray) -> np.ndarray:
     """Majority vote over trees for each row; ties go to plastic.
 
-    A batch of fewer than :data:`_TABLE_MIN_ROWS` rows walks every tree.  A
-    larger one goes through the trees' lookup tables, built on first use,
-    and walks only the trees past :data:`_TABLE_MAX_SPLITS` splits, after
-    them, in blocks.  A row stops voting once its label is settled (early
-    exit; Cambazoglu et al., WSDM 2010): at each of :func:`_settle_points`,
-    reached after a table or between walk blocks, a row with ``need = (n_trees
-    + 1) // 2`` plastic votes is plastic, one that cannot reach ``need`` with
-    the trees left is water, and both leave the rows, votes and feature
-    columns that the later trees see.  Every label is the full vote's.
+    A batch of fewer than :data:`_PROGRAM_MIN_ROWS` rows walks the trees in
+    blocks; a larger one runs their :func:`_vote_programs`, compiled on first
+    use, in place on bool buffers, and counts each vote through a uint8 view.
+    A row stops voting once its label is settled (early exit; Cambazoglu et
+    al., WSDM 2010): at each of :func:`_settle_points`, reached after a
+    program or between walk blocks, a row with ``need = (n_trees + 1) // 2``
+    plastic votes is plastic, one that cannot reach ``need`` with the trees
+    left is water, and both leave the rows, votes and feature columns that
+    the later trees see.  Every label is the full vote's.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.spec.n_features:
@@ -777,7 +774,7 @@ def predict_rf_batch(model: RFModel, X: np.ndarray) -> np.ndarray:
     plastic = np.zeros(n, dtype=bool)
     rows = np.arange(n)  # the rows still voting, with their votes and feature columns
     votes = np.zeros(n, dtype=np.min_scalar_type(n_trees))  # holds n_trees
-    columns = np.ascontiguousarray(X.T)  # every split of every table reads a column
+    columns = np.ascontiguousarray(X.T)  # every step of every program reads a column
     points, voted = _settle_points(n_trees), 0
 
     def count(tree_votes, trees):
@@ -793,37 +790,31 @@ def predict_rf_batch(model: RFModel, X: np.ndarray) -> np.ndarray:
             still = np.flatnonzero(~won & (votes >= need - (n_trees - voted)))
             rows, votes, columns = rows[still], votes[still], columns.take(still, axis=1)
 
-    tables, walked = [], np.arange(n_trees)
-    if n >= _TABLE_MIN_ROWS:
-        tables = [compiled for compiled in model._tables if compiled is not None]
-        walked = np.flatnonzero([compiled is None for compiled in model._tables])
-    goes_left = np.empty(n, dtype=bool)
-    for splits, table in tables:
-        outcome = goes_left[:rows.size]
-        if splits:
-            # the code is built in place: the first split writes its bit (into
-            # an 8-bit code through a bool view), and each later one shifts the
-            # code left (adding it to itself) and ORs in a uint8 view of its
-            # outcomes, so that an 8-bit code casts nothing
-            code = np.empty(rows.size, dtype=np.uint8 if len(splits) <= 8 else np.uint16)
-            (f, t), *rest = splits
-            np.less_equal(columns[f], t, out=code.view(bool) if code.itemsize == 1 else code)
-            for f, t in rest:
-                np.add(code, code, out=code)
-                np.less_equal(columns[f], t, out=outcome)  # false for NaN: it goes right
-                np.bitwise_or(code, outcome.view(np.uint8), out=code)
-            count(np.take(table, code, mode="clip"), 1)
-        else:  # a lone leaf
-            count(table[0], 1)
-        if not rows.size:
-            break
-    at = 0
-    while at < walked.size and rows.size:
-        k = rows.size
-        trees = walked[at:at + max(1, _WALK_PAIRS // k)]
-        at += trees.size
-        ballots = _walk(model, columns.T, np.repeat(trees, k), np.tile(np.arange(k), trees.size))
-        count(ballots.reshape(trees.size, k).sum(axis=0, dtype=votes.dtype), trees.size)
+    if n >= _PROGRAM_MIN_ROWS:
+        programs, n_buffers = model._programs
+        buffers, k = np.empty((n_buffers, n), dtype=bool), 0
+        for program in programs:
+            if k != rows.size:  # the rows still voting, from the first tree or a settle point on
+                k = rows.size
+                cols, buf = list(columns), [*buffers[:, :k], True]
+            if type(program) is int:  # a tree folded whole
+                count(program, 1)
+            else:
+                for f, t, c, combine in program:
+                    np.less_equal(cols[f], t, out=buf[c])
+                    for op, a, b, o in combine:
+                        op(buf[a], buf[b], out=buf[o])
+                count(buf[0].view(np.uint8), 1)
+            if not rows.size:
+                break
+    else:
+        at = 0
+        while at < n_trees and rows.size:
+            k = rows.size
+            trees = np.arange(at, min(n_trees, at + max(1, _WALK_PAIRS // k)))
+            at += trees.size
+            ballots = _walk(model, columns.T, np.repeat(trees, k), np.tile(np.arange(k), trees.size))
+            count(ballots.reshape(trees.size, k).sum(axis=0, dtype=votes.dtype), trees.size)
     plastic[rows[votes >= need]] = True
     return np.where(plastic, PLASTIC, WATER)
 

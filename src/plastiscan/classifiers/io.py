@@ -9,7 +9,7 @@ Loading a forest reads its trees in one preorder pass onto forest-level node
 lists; ``forest._forest_trees`` cuts each tree's arrays from them, as it does
 for trained trees, so a tree read back from its file equals the grown one,
 field by field.  As for a trained forest, the nodes are joined for the
-forest-wide walk, and lookup tables compiled, only when a prediction needs them.
+forest-wide walk, and vote programs compiled, only when a prediction needs them.
 """
 
 from __future__ import annotations

@@ -11,10 +11,6 @@ trees to match these bit for bit.
 ``oob_curve`` and ``permutation_importance`` are the tree-by-tree loops the
 package used before it walked all out-of-bag (tree, row) pairs together;
 each tree predicts through ``scene_oracle.tree_classes``, its own walk.
-
-``compile_tree`` is the per-tree stack the package compiled each lookup
-table with before it built a forest's tables from one walk of all (tree,
-code) pairs.
 """
 
 from __future__ import annotations
@@ -28,8 +24,6 @@ from plastiscan.dataset import feature_matrix
 from plastiscan.rng import seeded_rng
 from plastiscan.spectra import PLASTIC, WATER
 from scene_oracle import tree_classes
-
-TABLE_MAX_SPLITS = 12  # forest._TABLE_MAX_SPLITS
 
 FIELDS = ("feature", "threshold", "left", "right", "counts", "in_bag")
 DTYPES = (np.int64, np.float64, np.int64, np.int64, np.int64, np.int64)
@@ -268,33 +262,3 @@ def permutation_importance(trees, X, y, seed: int) -> np.ndarray:
             shuffled[:, f] = X_oob[rng.permutation(rows.size), f]
             totals[f] += base - float(np.mean(tree_classes(tree, shuffled) == y_oob))
     return totals / used if used else totals
-
-
-def compile_tree(tree):
-    """A tree's QuickScorer lookup table (Lucchese et al., SIGIR 2015) as
-    ``(splits, table)``, or None past ``TABLE_MAX_SPLITS`` splits.
-
-    Split node k of m, in node order, sets bit m - 1 - k of a row's code when
-    the row goes left; ``table[code]`` is the plastic vote (a uint8) of the
-    leaf it reaches.  A leaf fixes the bits on its path and leaves the others
-    free, so the leaves fill all 2**m codes between them."""
-    feature = tree.feature.tolist()
-    internal = [node for node, f in enumerate(feature) if f >= 0]
-    m = len(internal)
-    if m > TABLE_MAX_SPLITS:
-        return None
-    bit = {node: k for k, node in enumerate(internal)}
-    left, right = tree.left.tolist(), tree.right.tolist()
-    vote = (tree.counts[:, 0] >= tree.counts[:, 1]).tolist()
-    table = np.empty((2,) * m, dtype=np.uint8)  # axis k = bit k
-    stack = [(0, (slice(None),) * m)]
-    while stack:
-        node, codes = stack.pop()
-        if feature[node] < 0:
-            table[codes] = vote[node]
-            continue
-        k = bit[node]
-        stack.append((left[node], codes[:k] + (1,) + codes[k + 1:]))
-        stack.append((right[node], codes[:k] + (0,) + codes[k + 1:]))
-    splits = [(feature[node], tree.threshold[node]) for node in internal]
-    return splits, table.reshape(-1)

@@ -1,8 +1,8 @@
 """Slow reference for whole-scene labelling.
 
 ``classify_scene`` featurises and labels the scene in pixel blocks of
-``experiment._BLOCK_PIXELS``, predicts through the forest's lookup tables or
-its forest-wide walk, where each pixel stops voting once its majority is
+``experiment._BLOCK_PIXELS``, predicts through the trees' vote programs or
+the forest-wide walk, where each pixel stops voting once its majority is
 settled, and evaluates the SVM kernel in place in row blocks.  This module
 labels the same pixels by the plainest route: one feature matrix for the
 whole scene, a level walk of each tree on its own with every tree's vote

@@ -507,20 +507,17 @@ class TestBatchedGrowth:
             (e.params, e.fold_accuracies, e.mean_accuracy) for e in want.cv_table]
 
     @pytest.mark.parametrize("profile", ["final_profile", "unbounded"])
-    def test_tables_from_one_walk_equal_per_tree_compiles(self, default_pool, profile):
+    def test_programs_equal_per_tree_compiles(self, default_pool, profile):
         spec = MODEL_SPECS["Model2"]
         hp = (RFHyperParams.final_profile(spec.n_features, seed=5) if profile == "final_profile"
               else RFHyperParams.matrix_profile(mtry=1, seed=5, n_trees=60))
         trees = train_rf(default_pool, spec, hp).trees
         trees += [random_tree(m, n_features=2, seed=m) for m in range(14)]
-        got = forest_of(trees, n_features=spec.n_features)._tables
-        want = [forest_oracle.compile_tree(tree) for tree in trees]
-        assert [g is None for g in got] == [w is None for w in want]
-        assert any(w is None for w in want) and any(w is not None for w in want)
-        for g, w in zip(got, want):
-            if w is not None:
-                assert g[0] == w[0]
-                assert g[1].dtype == w[1].dtype and g[1].tobytes() == w[1].tobytes()
+        got, n_buffers = forest_of(trees, n_features=spec.n_features)._programs
+        alone = [forest_of([tree], n_features=spec.n_features)._programs for tree in trees]
+        assert got == [programs[0] for programs, _ in alone]
+        assert n_buffers == max(n for _, n in alone)
+        assert any(type(p) is int for p in got) and any(type(p) is list for p in got)
 
 
 class TestBulkFeatureDraws:
@@ -671,7 +668,7 @@ class TestPrediction:
 
     def test_leaf_count_tie_votes_plastic(self):
         model = forest_of([leaf_tree((3, 3))])
-        for rows in (1, 512):  # the walk, then the table
+        for rows in (1, 512):  # the walk, then the program
             assert predict_rf_batch(model, np.zeros((rows, 2))).tolist() == [PLASTIC] * rows
 
     def test_single_vector_wrapper(self):
@@ -693,28 +690,27 @@ class TestPrediction:
 
 
 class TestCompiledTree:
-    """Predictions through the lookup tables (batches of at least
-    _TABLE_MIN_ROWS rows) and through the forest-wide walk (smaller batches)
-    must both label every row as each tree's own level walk does."""
+    """Predictions through the vote programs (batches of at least
+    _PROGRAM_MIN_ROWS rows) and through the forest-wide walk (smaller
+    batches) must both label every row as each tree's own level walk does."""
 
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("m", [0, 1, 5, 7, 8, 9, 12, 13])  # codes of 8 bits, then 16
+    @pytest.mark.parametrize("m", [0, 1, 5, 7, 8, 9, 12, 13])
     def test_table_matches_walk(self, m, seed):
         tree = random_tree(m, n_features=2, seed=seed)
-        assert (forest_of([tree])._tables[0] is None) == (m > 12)  # 13 splits: the walk
         X = probe_rows(np.random.default_rng(100 + seed))
         expected = scene_oracle.tree_classes(tree, X)
         for layout in (X, np.asfortranarray(X)):
-            for rows in (len(X), forest._TABLE_MIN_ROWS - 1):  # tables, then the walk
+            for rows in (len(X), forest._PROGRAM_MIN_ROWS - 1):  # the program, then the walk
                 got = predict_rf_batch(forest_of([tree]), layout[:rows])
                 assert got.dtype == expected.dtype
                 np.testing.assert_array_equal(got, expected[:rows])
 
     @pytest.mark.parametrize("n_trees", [1, 2, 10, 255, 256])  # 256 votes need 16 bits
     def test_forest_vote_matches_walk_majority(self, n_trees):
-        assert forest._TABLE_MIN_ROWS == 512
+        assert forest._PROGRAM_MIN_ROWS == 512
         rng = np.random.default_rng(n_trees)
-        sizes = rng.integers(0, 14, size=n_trees)  # tables of every code width, and walks
+        sizes = rng.integers(0, 14, size=n_trees)
         trees = [random_tree(int(m), n_features=2, seed=s) for s, m in enumerate(sizes)]
         if n_trees == 256:  # 127 trees and their mirrors: a row ties unless trees 0 and 1 agree
             trees[129:] = [mirrored(tree) for tree in trees[2:129]]
@@ -724,7 +720,7 @@ class TestCompiledTree:
         if n_trees in (2, 10, 256):
             votes = sum(scene_oracle.tree_classes(tree, X) == PLASTIC for tree in model.trees)
             assert (2 * votes[:511] == n_trees).any()  # some rows tie, and must go to plastic
-        for n_rows in (1, 511, 512, 4096):  # the walk below 512 rows, tables from 512
+        for n_rows in (1, 511, 512, 4096):  # the walk below 512 rows, programs from 512
             for layout in (X[:n_rows], np.asfortranarray(X[:n_rows])):
                 np.testing.assert_array_equal(predict_rf_batch(model, layout), expected[:n_rows])
 
@@ -733,14 +729,128 @@ class TestCompiledTree:
                       right=[2, -1, -1], counts=[(2, 2), (2, 0), (0, 2)])
         X = np.array([[np.nan], [0.5], [np.inf], [-np.inf]])
         model = forest_of([tree], n_features=1)
-        for rows in (1, forest._TABLE_MIN_ROWS // 4):  # the walk, then the table
+        for rows in (1, forest._PROGRAM_MIN_ROWS // 4):  # the walk, then the program
             assert predict_rf_batch(model, np.tile(X, (rows, 1))).tolist() == (
                 [WATER, PLASTIC, WATER, PLASTIC] * rows)
 
 
+def run_program(program, X) -> np.ndarray:
+    """One tree's vote program run as ``forest._vote_programs`` documents it,
+    on buffers of its own: whether each row of ``X`` gets a plastic vote."""
+    if type(program) is int:
+        return np.full(len(X), program == 1)
+    buf = [np.empty(len(X), dtype=bool) for _ in range(1 + max(s[2] for s in program))]
+    buf.append(True)
+    for f, t, c, combine in program:
+        np.less_equal(X[:, f], t, out=buf[c])
+        for op, a, b, o in combine:
+            op(buf[a], buf[b], out=buf[o])
+    return buf[0]
+
+
+def tree_of(nodes) -> _Tree:
+    """A tree from its nodes in preorder: a split ``(feature, threshold, left,
+    right)`` or a leaf's vote, 1 for plastic and 0 for water."""
+    splits = [node if type(node) is tuple else (-1, 0.0, -1, -1) for node in nodes]
+    counts = [(node, 1 - node) if type(node) is int else (0, 0) for node in nodes]
+    return record(*zip(*splits), counts)
+
+
+# both features at, between and past the thresholds 0.25 and 0.5, NaN and +-inf
+GRID_VALUES = (np.nan, -np.inf, 0.0, 0.25, 0.4, 0.5, 0.75, np.inf)
+GRID_ROWS = np.array([(a, b) for a in GRID_VALUES for b in GRID_VALUES])
+
+
+class TestVotePrograms:
+    """Each tree's vote program votes on every row as the tree's own walk
+    (``scene_oracle.tree_classes``), NaN, +-inf and exact thresholds
+    included, and keeps exactly the splits whose subtrees hold leaves of both
+    votes."""
+
+    @staticmethod
+    def assert_votes_as_walk(tree, X):
+        """Run the tree's program on X on its own and through
+        predict_rf_batch; returns the program."""
+        model = forest_of([tree], n_features=X.shape[1])
+        (program,), _ = model._programs
+        walked = scene_oracle.tree_classes(tree, X) == PLASTIC
+        np.testing.assert_array_equal(run_program(program, X), walked)
+        rows = max(len(X), forest._PROGRAM_MIN_ROWS)
+        np.testing.assert_array_equal(predict_rf_batch(model, np.resize(X, (rows, X.shape[1]))),
+                                      np.resize(np.where(walked, PLASTIC, WATER), rows))
+        return program
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("m", [0, 1, 5, 12, 13, 40])
+    def test_random_tree(self, m, seed):
+        X = probe_rows(np.random.default_rng(200 + seed), n=2000)
+        assert {0.25, 0.5} <= set(X[:, 0]) and np.isnan(X).any() and np.isinf(X).any()
+        program = self.assert_votes_as_walk(random_tree(m, n_features=2, seed=seed), X)
+        assert type(program) is int or 0 < len(program) <= m
+
+    @pytest.mark.parametrize("vote", [1, 0], ids=["plastic", "water"])
+    @pytest.mark.parametrize("m", [1, 12, 40])
+    def test_tree_of_one_vote_folds_whole(self, m, vote):
+        tree = random_tree(m, n_features=2, seed=m)
+        tree = tree._replace(counts=np.tile([vote, 1 - vote], (len(tree.feature), 1)))
+        assert self.assert_votes_as_walk(tree, GRID_ROWS) == vote
+
+    @pytest.mark.parametrize("m", [5, 12, 40])
+    def test_one_deep_differing_leaf_keeps_its_path(self, m):
+        tree = random_tree(m, n_features=2, seed=m)
+        parent = {int(child): int(node) for node in np.flatnonzero(tree.feature >= 0)
+                  for child in (tree.left[node], tree.right[node])}
+        paths = {}  # per leaf, the splits above it, bottom up
+        for leaf in np.flatnonzero(tree.feature < 0).tolist():
+            path = [leaf]
+            while path[-1] in parent:
+                path.append(parent[path[-1]])
+            paths[leaf] = path[1:]
+        deep = max(paths, key=lambda leaf: len(paths[leaf]))
+        counts = np.tile([1, 0], (len(tree.feature), 1))
+        counts[deep] = (0, 1)
+        program = self.assert_votes_as_walk(tree._replace(counts=counts), GRID_ROWS)
+        assert len(paths[deep]) > 2
+        assert [(f, t) for f, t, _, _ in program] == [
+            (tree.feature[node], tree.threshold[node]) for node in paths[deep]]
+        # the splits above the leaf's parent each have one child folded
+        assert [len(combine) for *_, combine in program[1:]] == [1] * (len(program) - 1)
+        assert max(c for _, _, c, _ in program) == 1  # two buffers
+
+    @pytest.mark.parametrize("nodes, n_steps", [
+        ([(0, 0.5, 1, 2), 1, 0], 1),
+        ([(0, 0.5, 1, 2), 0, 1], 1),
+        ([(0, 0.5, 1, 2), 1, (1, 0.25, 3, 4), 1, 0], 2),
+        ([(0, 0.5, 1, 2), 0, (1, 0.25, 3, 4), 1, 0], 2),
+        ([(0, 0.5, 1, 4), (1, 0.25, 2, 3), 1, 0, 1], 2),
+        ([(0, 0.5, 1, 4), (1, 0.25, 2, 3), 1, 0, 0], 2),
+        ([(0, 0.5, 1, 4), (1, 0.25, 2, 3), 1, 0, (1, 0.25, 5, 6), 0, 1], 3),
+        ([(0, 0.5, 1, 4), (1, 0.25, 2, 3), 1, 1, (1, 0.25, 5, 6), 0, 1], 2),
+    ], ids=["leaves-c", "leaves-not-c", "left-plastic-or", "left-water-and-not",
+            "right-plastic-or-not", "right-water-and", "neither-folded", "left-subtree-folded"])
+    def test_each_combine(self, nodes, n_steps):
+        assert len(self.assert_votes_as_walk(tree_of(nodes), GRID_ROWS)) == n_steps
+
+    def test_3000_split_chain(self):
+        # split k sends its rows at most t_k left, to a leaf voting k % 2, and
+        # the rest right, to split k + 1; the thresholds rise along the chain
+        m = 3000
+        thresholds = np.linspace(-1.5, 1.5, m)
+        nodes = []
+        for k, t in enumerate(thresholds.tolist()):
+            nodes += [(k % 2, t, 2 * k + 1, 2 * k + 2), k % 2]
+        tree = tree_of(nodes + [m % 2])
+        rng = np.random.default_rng(9)
+        values = np.concatenate([thresholds[::97], [np.nan, np.inf, -np.inf],
+                                 rng.uniform(-2.0, 2.0, 50)])
+        program = self.assert_votes_as_walk(tree, rng.choice(values, size=(1024, 2)))
+        assert len(program) == m
+        assert max(c for _, _, c, _ in program) == 1  # two buffers
+
+
 def mixed_forest(n_trees, seed, cycled):
-    """A forest of random trees of 0 to 15 splits, so that 8-bit tables,
-    16-bit tables and walked trees mix.  ``cycled`` trees repeat four trees
+    """A forest of random trees of 0 to 15 splits, so that trees folded whole
+    and programs of up to 14 steps mix.  ``cycled`` trees repeat four trees
     of 2, 7, 10 and 14 splits, so that many rows' majorities settle early.
     In an even forest the trees after the middle mirror trees 2 .. n/2, so
     that a row ties unless trees 0 and 1 agree."""
@@ -760,17 +870,15 @@ class TestSettledVotes:
     @pytest.mark.parametrize("n_trees", [1, 2, 3, 10, 100, 101, 255, 256])
     def test_labels_equal_the_full_vote(self, n_trees, cycled):
         model = mixed_forest(n_trees, seed=n_trees, cycled=cycled)
-        if n_trees >= 10:  # tables of both code widths, and walked trees
-            tables = model._tables
-            widths = {len(compiled[0]) <= 8 for compiled in tables if compiled is not None}
-            assert widths == {True, False} and None in tables
+        if n_trees >= 100 and not cycled:  # trees folded whole among the programs
+            assert {type(program) for program in model._programs[0]} == {int, list}
         X = probe_rows(np.random.default_rng(n_trees), n=40_000)
         expected = scene_oracle.rf_labels(model, X)
         if n_trees % 2 == 0:
             votes = sum(scene_oracle.tree_classes(tree, X[:511]) == PLASTIC
                         for tree in model.trees)
             assert (2 * votes == n_trees).any()  # ties, which must go to plastic
-        for n_rows in (511, 512, 4096, 40_000):  # the walk below 512 rows, tables from 512
+        for n_rows in (511, 512, 4096, 40_000):  # the walk below 512 rows, programs from 512
             for layout in (X[:n_rows], np.asfortranarray(X[:n_rows])):
                 got = predict_rf_batch(model, layout)
                 assert got.dtype == expected.dtype
@@ -778,12 +886,12 @@ class TestSettledVotes:
 
     def test_later_walk_blocks_see_only_undecided_rows(self, monkeypatch):
         trees = [random_tree(13 + t % 3, n_features=2, seed=t % 3) for t in range(101)]
-        model = forest_of(trees)  # every tree walks
-        assert all(compiled is None for compiled in model._tables)
+        model = forest_of(trees)
+        X = probe_rows(np.random.default_rng(7), n=forest._PROGRAM_MIN_ROWS - 1)  # walked
+        monkeypatch.setattr(forest, "_WALK_PAIRS", len(X))  # blocks of one tree while all vote
         walked, walk = [], forest._walk
         monkeypatch.setattr(forest, "_walk", lambda model, X, tree, row: (
             walked.append(len(row)) or walk(model, X, tree, row)))
-        X = probe_rows(np.random.default_rng(7), n=40_000)
         np.testing.assert_array_equal(predict_rf_batch(model, X), scene_oracle.rf_labels(model, X))
         assert walked[0] == len(X)  # blocks of one tree each, all rows voting
         assert sum(walked) < 0.7 * 101 * len(X)
@@ -796,18 +904,18 @@ class TestSettledVotes:
         poison = random_tree(poison_splits, n_features=2, seed=5)
         poison = poison._replace(feature=np.where(poison.feature >= 0, 7, -1))
         model = forest_of([leaf_tree(vote)] * 5 + [poison] * 4)
-        assert (model._tables[-1] is None) == (poison_splits > 12)
+        assert {f for f, *_ in model._programs[0][-1]} == {7}  # its program reads feature 7
         X = probe_rows(np.random.default_rng(3), n=4096)
         label = PLASTIC if vote == (1, 0) else WATER
         assert predict_rf_batch(model, X).tolist() == [label] * len(X)
         with pytest.raises(IndexError):  # below 512 rows, one walk block holds every tree
-            predict_rf_batch(model, X[:forest._TABLE_MIN_ROWS - 1])
+            predict_rf_batch(model, X[:forest._PROGRAM_MIN_ROWS - 1])
 
     def test_unbounded_500_tree_scene_equals_oracle(self):
-        # on the paper-sized pool, half of the trees are too deep for tables
+        # on the paper-sized pool, over 200 trees keep more than 12 splits
         pool = gen_dataset(SynthConfig(n_plastic=54, n_water=270, seed=0))
         model = train_rf(pool, MODEL_SPECS["Model2"], RFHyperParams.matrix_profile(mtry=2, seed=1))
-        assert sum(compiled is None for compiled in model._tables) > 200
+        assert sum(type(p) is list and len(p) > 12 for p in model._programs[0]) > 200
         stack, _ = gen_scene(
             SynthConfig(n_plastic=0, n_water=0, seed=24), width=128, height=128,
             patches=(PatchSpec(row=10, col=20, height=30, width=40, fraction=0.9),
@@ -862,19 +970,19 @@ class TestImportances:
             rf_permutation_importance(rf_small, shorter)
 
 
-class TestTablesOnLargeBatchesOnly:
-    def test_no_table_until_a_batch_of_table_min_rows(
+class TestProgramsOnLargeBatchesOnly:
+    def test_no_program_until_a_batch_of_program_min_rows(
         self, monkeypatch, default_pool, tc1_split, plastic_pool, water_pool, tmp_path
     ):
         compiled = []
-        lookup_tables = forest._lookup_tables
-        monkeypatch.setattr(forest, "_lookup_tables",
-                            lambda model: compiled.append(model) or lookup_tables(model))
+        vote_programs = forest._vote_programs
+        monkeypatch.setattr(forest, "_vote_programs",
+                            lambda model: compiled.append(model) or vote_programs(model))
         spec = MODEL_SPECS["Model5"]
         model = train_rf(default_pool, spec, RFHyperParams.final_profile(3, seed=0))
         save_model(model, tmp_path / "rf.json")
         loaded = load_model(tmp_path / "rf.json")
-        small = np.zeros((forest._TABLE_MIN_ROWS - 1, 3))
+        small = np.zeros((forest._PROGRAM_MIN_ROWS - 1, 3))
         for m in (model, loaded):
             predict_rf_batch(m, small)
         # matrix fits predict test sets of fewer rows, and never compile
@@ -884,7 +992,7 @@ class TestTablesOnLargeBatchesOnly:
         run_cell(plastic_pool, water_pool, "Model2", "TC1", "rf", grid, master_seed=1,
                  rf_base=base)
         assert compiled == []
-        large = np.zeros((forest._TABLE_MIN_ROWS, 3))
+        large = np.zeros((forest._PROGRAM_MIN_ROWS, 3))
         np.testing.assert_array_equal(predict_rf_batch(loaded, large)[:len(small)],
                                       predict_rf_batch(model, small))
         assert compiled == [loaded]

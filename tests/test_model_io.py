@@ -54,25 +54,21 @@ class TestRoundTrip:
         )
 
     @pytest.mark.parametrize(
-        "hp, all_tables",
+        "hp",
         [
-            (RFHyperParams.final_profile(3, seed=0), True),
-            (RFHyperParams.matrix_profile(mtry=1, seed=0, n_trees=10), False),
+            RFHyperParams.final_profile(3, seed=0),
+            RFHyperParams.matrix_profile(mtry=1, seed=0, n_trees=10),
         ],
         ids=["final_profile", "unbounded"],
     )
-    def test_rf_table_and_walk_survive_round_trip(self, default_pool, tmp_path, hp, all_tables):
+    def test_rf_programs_and_walk_survive_round_trip(self, default_pool, tmp_path, hp):
         model = train_rf(default_pool, MODEL_SPECS["Model5"], hp)
-        tables = [compiled is not None for compiled in model._tables]
-        # final_profile trees all compile; the unbounded forest keeps at least
-        # one tree past 12 splits on the level walk
-        assert all(tables) == all_tables
         path = tmp_path / "rf.json"
         save_model(model, path)
         loaded = load_model(path)
-        assert [compiled is not None for compiled in loaded._tables] == tables
+        assert loaded._programs == model._programs
         X = probe_matrix(model)
-        for rows in (len(X), forest._TABLE_MIN_ROWS - 1):  # tables, then the walk
+        for rows in (len(X), forest._PROGRAM_MIN_ROWS - 1):  # the programs, then the walk
             np.testing.assert_array_equal(predict_rf_batch(model, X[:rows]),
                                           predict_rf_batch(loaded, X[:rows]))
 
@@ -144,7 +140,7 @@ class TestRoundTrip:
 @pytest.fixture(scope="module")
 def paper_pool():
     """The paper's 54 + 270 pool size: deep enough that unbounded trees on
-    every feature set grow past the 12 splits of a lookup table."""
+    every feature set keep more than 12 splits in their vote programs."""
     return gen_dataset(SynthConfig(n_plastic=54, n_water=270, seed=7))
 
 
@@ -169,21 +165,16 @@ class TestLoadedTreesEqualTrained:
         path = tmp_path / "rf.json"
         save_model(model, path)
         loaded = load_model(path)
-        untabled = [compiled is None for compiled in model._tables]
-        assert any(untabled) == (profile == "unbounded")
+        programs, _ = model._programs
+        deep = [type(program) is list and len(program) > 12 for program in programs]
+        assert any(deep) == (profile == "unbounded")
         for tree, back in zip(model.trees, loaded.trees, strict=True):
             for name in TREE_FIELDS:
                 got, want = getattr(back, name), getattr(tree, name)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
         for got, want in zip(loaded._nodes, model._nodes, strict=True):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        for back, compiled in zip(loaded._tables, model._tables, strict=True):
-            if compiled is None:
-                assert back is None
-            else:
-                assert back[0] == compiled[0]
-                assert back[1].dtype == compiled[1].dtype
-                assert back[1].tobytes() == compiled[1].tobytes()
+        assert loaded._programs == model._programs
         labels = classify_scene(scene, loaded).labels
         assert labels.tobytes() == classify_scene(scene, model).labels.tobytes()
         save_model(loaded, tmp_path / "again.json")
