@@ -22,7 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import CorruptModelError, ModelSchemaError, _names_file, _read_json
+from ..errors import (
+    CorruptModelError,
+    ModelSchemaError,
+    TreeTooDeepError,
+    _names_file,
+    _read_json,
+)
 from ..spectra import FeatureSetSpec, MODEL_SPECS
 from .forest import RFHyperParams, RFModel, _Tree, _forest_trees
 from .svm import Scaler, SVMHyperParams, SVMModel
@@ -46,16 +52,40 @@ def _numbers(doc, key: str) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def _tree_to_json(tree: _Tree, node: int = 0):
-    if tree.feature[node] < 0:
-        counts = tree.counts[node]
-        return [int(counts[0]), int(counts[1])]
-    return {
-        "f": int(tree.feature[node]),
-        "t": float(tree.threshold[node]),
-        "l": _tree_to_json(tree, int(tree.left[node])),
-        "r": _tree_to_json(tree, int(tree.right[node])),
-    }
+# Splits a saved tree may have on one path.  ``json`` writes and reads each
+# split as one more nested object, one Python frame deep, under a default
+# recursion limit of 1000; the callers keep the other half.
+_MAX_TREE_DEPTH = 500
+
+
+def _tree_to_json(tree: _Tree, t: int):
+    """Tree ``t`` as nested ``{f, t, l, r}`` splits over ``[plastic, water]``
+    leaf counts, built from an explicit stack.  Raises
+    :class:`~plastiscan.errors.TreeTooDeepError` when a path holds more than
+    ``_MAX_TREE_DEPTH`` splits."""
+    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
+    left, right, counts = tree.left.tolist(), tree.right.tolist(), tree.counts.tolist()
+
+    def node_doc(node):
+        if feature[node] < 0:
+            return counts[node]
+        return {"f": feature[node], "t": threshold[node], "l": None, "r": None}
+
+    root = node_doc(0)
+    stack, deepest = [(0, root, 1)], 0  # (split, its document, splits down to it)
+    while stack:
+        node, doc, depth = stack.pop()
+        if feature[node] < 0:
+            continue
+        deepest = max(deepest, depth)
+        for key, child in (("l", left[node]), ("r", right[node])):
+            doc[key] = node_doc(child)
+            stack.append((child, doc[key], depth + 1))
+    if deepest > _MAX_TREE_DEPTH:
+        raise TreeTooDeepError(
+            f"tree {t} is {deepest} splits deep; a model file holds trees of at most "
+            f"{_MAX_TREE_DEPTH}")
+    return root
 
 
 _SPLIT_KEYS = frozenset(("f", "t", "l", "r"))
@@ -167,7 +197,9 @@ def _spec_from_json(doc) -> FeatureSetSpec:
 
 
 def save_model(model: RFModel | SVMModel, path: str | Path) -> None:
-    """Write a model as a schema-versioned JSON document."""
+    """Write a model as a schema-versioned JSON document.  A forest with a
+    tree of more than ``_MAX_TREE_DEPTH`` splits on one path raises
+    :class:`~plastiscan.errors.TreeTooDeepError` and writes nothing."""
     if not isinstance(model, (RFModel, SVMModel)):
         raise TypeError(f"cannot save model of type {type(model).__name__}")
     doc: dict = {
@@ -179,7 +211,7 @@ def save_model(model: RFModel | SVMModel, path: str | Path) -> None:
     if isinstance(model, RFModel):
         doc["algo"] = "rf"
         doc["n_trees"] = len(model.trees)
-        doc["trees"] = [_tree_to_json(tree) for tree in model.trees]
+        doc["trees"] = [_tree_to_json(tree, t) for t, tree in enumerate(model.trees)]
         doc["oob_error"] = model.oob_error
         doc["oob_curve"] = [float(v) for v in model.oob_curve]
         doc["importances"] = [float(v) for v in model.importances]

@@ -1,19 +1,27 @@
 """RBF-kernel support vector machine trained by sequential minimal optimisation.
 
 Features are z-scored with training-set statistics (zero-variance columns are
-dropped with a warning).  The kernel is ``k(x, y) = exp(-sigma * ||x - y||^2)``
-with ``sigma`` used directly as the exponential gain; the textbook
-``exp(-||x - y||^2 / (2 s^2))`` form is the reparameterisation
-``sigma = 1 / (2 s^2)``.  Internally plastic maps to +1 and water to -1; the
-decision function is ``f(x) = sum_i dual_coef_i k(sv_i, x) + bias`` and a
-pixel is plastic when ``f(x) >= 0``.  Prediction evaluates it in fixed blocks
-of rows through the same kernel function as training, so a scene never holds
-a whole pixels x support-vectors kernel and each row's value is the same
-whatever block it falls in.  That function runs the kernel expression in
-place, one operation after another in the order written, in one buffer that
-every block of a call reuses, and a call squares the support vectors' norms
-once; the values are bit for bit those of the expression with a new array per
-operation.
+dropped with a warning), column by column into a feature-major (features,
+rows) array, so that no operation loops over the few features of one row.
+The kernel is ``k(x, y) = exp(-sigma * ||x - y||^2)`` with ``sigma`` used
+directly as the exponential gain; the textbook ``exp(-||x - y||^2 / (2 s^2))``
+form is the reparameterisation ``sigma = 1 / (2 s^2)``.  Internally plastic
+maps to +1 and water to -1; the decision function is ``f(x) = sum_i
+dual_coef_i k(sv_i, x) + bias`` and a pixel is plastic when ``f(x) >= 0``.
+
+Training and prediction share one kernel function.  It works on half the
+squared distance: the halved norm sum ``(|a_i|^2 + |b_j|^2) / 2`` is one
+rank-2 product of ``[|a_i|^2, 1]`` and ``[1/2, |b_j|^2 / 2]``, whose two
+terms are exact, so it is rounded once, to half the rounded sum.  Halving
+commutes with rounding, so subtracting ``a_i . b_j`` rounds to half of what
+the full expression ``|a_i|^2 + |b_j|^2 - 2 a_i . b_j`` rounds to, and
+scaling by ``-2 sigma`` (exact) then gives the full expression's exponent:
+every kernel entry keeps the bits of the plain expression (a half distance
+below 2^-1021 may not, but its ``exp`` is 1.0 either way), with no broadcast
+add and no doubling pass.  Prediction scales and evaluates rows in fixed
+blocks, reusing one scaling buffer and one kernel buffer, so a scene never
+holds a whole pixels x support-vectors kernel and each row's value is the
+same whatever block it falls in.
 
 The solver is SMO with LIBSVM's second-order working-set selection (WSS2;
 Fan, Chen & Lin, JMLR 2005): each iteration updates the maximal violating row
@@ -88,9 +96,19 @@ class Scaler:
     sd: np.ndarray
     kept: np.ndarray  # bool; False marks dropped zero-variance columns
 
-    def transform(self, X: np.ndarray) -> np.ndarray:
+    def transform(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The kept columns of ``X`` z-scored, as the (rows, kept) transpose
+        of a feature-major (kept, rows) array: ``out`` when given, else a new
+        one.  Each kept feature is one ``subtract`` along its column, then
+        one ``divide`` covers them all, so no loop runs along the feature axis."""
         X = np.asarray(X, dtype=np.float64)
-        return (X[:, self.kept] - self.mean[self.kept]) / self.sd[self.kept]
+        kept = np.flatnonzero(self.kept)
+        if out is None:
+            out = np.empty((kept.size, len(X)))
+        for row, j in zip(out, kept):
+            np.subtract(X[:, j], self.mean[j], out=row)
+        out /= self.sd[kept, None]
+        return out.T
 
 
 def rbf_kernel(x, y, sigma: float) -> float:
@@ -107,17 +125,23 @@ def rbf_kernel(x, y, sigma: float) -> float:
 
 def _rbf_matrix(a: np.ndarray, b: np.ndarray, sigma: float, b_sq=None, out=None) -> np.ndarray:
     """``exp(-sigma * max(|a_i|^2 + |b_j|^2 - 2 a_i . b_j, 0))`` for every pair
-    of rows, each operation in the order written, evaluated in place in
-    ``out`` (a new (len(a), len(b)) array when None).  ``b_sq`` is ``b``'s
-    squared row norms, for a caller that uses one ``b`` many times."""
+    of rows, with that expression's bits, evaluated in place in ``out`` (a
+    new (len(a), len(b)) array when None) on half the squared distance, its
+    halved norm sum one exact rank-2 product (see the module docstring).
+    ``b_sq`` is ``b``'s squared row norms, for a caller that uses one ``b``
+    many times."""
     if b_sq is None:
         b_sq = np.sum(b * b, axis=1)
-    sq = np.add(np.sum(a * a, axis=1)[:, None], b_sq, out=out)
-    gram = a @ b.T
-    gram *= 2.0
-    sq -= gram
+    norms = np.empty((2, len(a)))
+    np.sum(a * a, axis=1, out=norms[0])
+    norms[1] = 1.0
+    halves = np.empty((2, len(b_sq)))
+    halves[0] = 0.5
+    np.multiply(b_sq, 0.5, out=halves[1])
+    sq = np.matmul(norms.T, halves, out=out)  # round(|a_i|^2 + |b_j|^2) / 2
+    sq -= a @ b.T
     np.maximum(sq, 0.0, out=sq)
-    sq *= -sigma
+    sq *= -2.0 * sigma
     return np.exp(sq, out=sq)
 
 
@@ -292,12 +316,16 @@ _BLOCK_ROWS = 1024
 def _decision_batch(model: SVMModel, X: np.ndarray) -> np.ndarray:
     sv, sigma = model.support_vectors, model.hyperparams.sigma
     sv_sq = np.sum(sv * sv, axis=1)
-    block = np.empty((min(len(X), _BLOCK_ROWS), len(sv)))  # every block's kernel, in turn
+    rows = min(len(X), _BLOCK_ROWS)
+    scaled = np.empty((sv.shape[1], rows))  # every block's rows, feature-major, in turn
+    block = np.empty((rows, len(sv)))  # and their kernel
     out = np.empty(len(X))
     for at in range(0, len(X), _BLOCK_ROWS):
-        Xs = model.scaler.transform(X[at:at + _BLOCK_ROWS])
-        K = _rbf_matrix(Xs, sv, sigma, sv_sq, block[:len(Xs)])
-        out[at:at + _BLOCK_ROWS] = K @ model.dual_coefs + model.bias
+        n = min(len(X) - at, _BLOCK_ROWS)
+        Xs = model.scaler.transform(X[at:at + n], scaled[:, :n])
+        K = _rbf_matrix(Xs, sv, sigma, sv_sq, block[:n])
+        np.matmul(K, model.dual_coefs, out=out[at:at + n])
+    out += model.bias
     return out
 
 

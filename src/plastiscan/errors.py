@@ -157,6 +157,10 @@ class CorruptModelError(DataError):
     """A model file is internally inconsistent."""
 
 
+class TreeTooDeepError(DataError):
+    """A forest holds a tree too deep for a model file to nest."""
+
+
 class PatchOutOfBoundsError(DataError):
     """A synthetic patch does not fit inside the scene."""
 

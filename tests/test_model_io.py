@@ -21,10 +21,12 @@ from plastiscan import (
     save_model,
     train_rf,
 )
+from plastiscan import cli
 from plastiscan.classifiers import forest
+from plastiscan.classifiers import io as model_io
 from plastiscan.classifiers.io import SCHEMA_VERSION
 from plastiscan.classifiers.svm import decision_function
-from plastiscan.errors import CorruptModelError, ModelSchemaError
+from plastiscan.errors import CorruptModelError, ModelSchemaError, TreeTooDeepError
 from plastiscan.spectra import MODEL_SPECS, FeatureVector
 
 
@@ -152,6 +154,71 @@ def scene():
 
 
 TREE_FIELDS = ("feature", "threshold", "left", "right", "counts")
+
+
+def chain_tree(depth: int) -> forest._Tree:
+    """A tree of ``depth`` splits in one chain: split k sends the rows at most
+    its threshold left, to a leaf voting k % 2, and the rest right, to split
+    k + 1."""
+    n = 2 * depth + 1
+    split = np.arange(n) % 2 == 0
+    split[-1] = False
+    nodes = np.arange(n)
+    plastic = np.where(nodes == n - 1, depth % 2, (nodes // 2) % 2)  # leaf 2k + 1 votes k % 2
+    return forest._Tree(
+        feature=np.where(split, 0, -1),
+        threshold=np.where(split, np.linspace(-1.0, 1.0, n), 0.0),
+        left=np.where(split, nodes + 1, -1),
+        right=np.where(split, nodes + 2, -1),
+        counts=np.where(split[:, None], 0, np.stack([plastic, 1 - plastic], axis=1)),
+        in_bag=None,
+    )
+
+
+def forest_of(trees) -> forest.RFModel:
+    """A Model4 forest of ``trees``, with the diagnostics a file would hold."""
+    model = forest.RFModel(spec=MODEL_SPECS["Model4"],
+                           hyperparams=RFHyperParams(n_trees=len(trees), mtry=1, seed=0),
+                           trees=trees, n_train=0)
+    model._diagnostics = (0.5, np.full(len(trees), 0.5), np.zeros(3))
+    return model
+
+
+class TestTreeDepthLimit:
+    """``json`` nests a saved tree one level per split, so a model file holds
+    trees of at most ``_MAX_TREE_DEPTH`` splits on a path; a deeper one is a
+    ``DataError`` raised before anything is written."""
+
+    def test_deepest_tree_round_trips(self, tmp_path):
+        model = forest_of([chain_tree(1), chain_tree(model_io._MAX_TREE_DEPTH)])
+        path = tmp_path / "deep.json"
+        save_model(model, path)
+        loaded = load_model(path, expect_algo="rf")
+        X = np.random.default_rng(3).uniform(-1.2, 1.2, size=(600, 3))
+        np.testing.assert_array_equal(predict_rf_batch(loaded, X), predict_rf_batch(model, X))
+        for tree, back in zip(model.trees, loaded.trees):
+            for name in ("feature", "threshold", "left", "right"):
+                np.testing.assert_array_equal(getattr(back, name), getattr(tree, name))
+            leaves = tree.feature < 0  # a loaded split holds its subtree's leaf sums
+            np.testing.assert_array_equal(back.counts[leaves], tree.counts[leaves])
+
+    @pytest.mark.parametrize("depth", [model_io._MAX_TREE_DEPTH + 1, 3000])
+    def test_deeper_tree_raises_and_writes_nothing(self, tmp_path, depth):
+        model = forest_of([chain_tree(2), chain_tree(depth), chain_tree(1)])
+        path = tmp_path / "deep.json"
+        with pytest.raises(TreeTooDeepError, match=f"tree 1 is {depth} splits deep"):
+            save_model(model, path)
+        assert not path.exists()
+
+    def test_cli_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "train_rf", lambda *args: forest_of([chain_tree(3000)]))
+        pool, out = tmp_path / "pool.csv", tmp_path / "rf.json"
+        assert cli.main(["synth-data", "--out", str(pool), "--n-plastic", "12",
+                         "--n-water", "64", "--seed", "0"]) == 0
+        assert cli.main(["train", "--samples", str(pool), "--model", "Model4", "--algo", "rf",
+                         "--out", str(out)]) == 2
+        assert "tree 0 is 3000 splits deep" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestLoadedTreesEqualTrained:

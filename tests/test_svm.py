@@ -133,6 +133,23 @@ class TestScaler:
         np.testing.assert_allclose(Z.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(Z.std(axis=0), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_transform_bits_of_the_plain_expression(self, order):
+        """Feature-major z-scores, into a new array or a given buffer, equal
+        the plain column expression bit for bit, with a column dropped."""
+        rng = np.random.default_rng(9)
+        X = np.asarray(rng.normal(3.0, 2.0, size=(50, 4)), order=order)
+        kept = np.array([True, False, True, True])
+        scaler = Scaler(mean=X.mean(axis=0), sd=X.std(axis=0), kept=kept)
+        plain = ((X[:, kept] - scaler.mean[kept]) / scaler.sd[kept]).view(np.uint64)
+        Z = scaler.transform(X)
+        assert Z.shape == (50, 3) and Z.T.flags.c_contiguous
+        np.testing.assert_array_equal(Z.view(np.uint64), plain)
+        buffer = np.full((3, 60), np.nan)
+        Z = scaler.transform(X, buffer[:, :50])
+        assert np.shares_memory(Z, buffer)
+        np.testing.assert_array_equal(Z.view(np.uint64), plain)
+
     def test_model_stores_training_statistics(self):
         X, y = random_problem(5)
         model = train_svm(table_from_features(X, y), band_spec(3), hp_tight())
@@ -418,6 +435,36 @@ class TestBlockedDecision:
             np.testing.assert_array_equal(
                 svm._decision_batch(svm_small, X[start:]).view(np.uint64), full[start:])
 
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_scene_rows_equal_oracle(self, svm_small, order):
+        """Scene features, feature-major as ``feature_columns`` returns them or
+        copied row-major, give the oracle's decision values bit for bit."""
+        stack, _ = gen_scene(
+            SynthConfig(n_plastic=0, n_water=0, seed=29), width=48, height=48,
+            patches=(PatchSpec(row=4, col=5, height=12, width=14, fraction=0.7),))
+        X = feature_columns({b: g.values.reshape(-1) for b, g in stack.grids.items()},
+                            svm_small.spec)
+        assert X.flags.f_contiguous and np.isfinite(X).all() and len(X) > 2 * B
+        X = np.asarray(X, order=order)
+        np.testing.assert_array_equal(
+            svm._decision_batch(svm_small, X).view(np.uint64),
+            scene_oracle.svm_decision(svm_small, X).view(np.uint64))
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_dropped_feature_model_equals_oracle(self, order):
+        """A model that dropped a zero-variance feature scales only its kept
+        columns, and still gives the oracle's bits."""
+        X, y = random_problem(13, n=40, d=4)
+        X[:, 2] = 0.5  # exact in binary, so its sd is exactly 0
+        with pytest.warns(UserWarning, match="dropping zero-variance"):
+            model = train_svm(table_from_features(X, y), band_spec(4), hp_tight())
+        assert model.scaler.kept.tolist() == [True, True, False, True]
+        rows = np.random.default_rng(14).uniform(-0.5, 1.5, size=(2 * B + 7, 4))
+        rows = np.asarray(rows, order=order)
+        np.testing.assert_array_equal(
+            svm._decision_batch(model, rows).view(np.uint64),
+            scene_oracle.svm_decision(model, rows).view(np.uint64))
+
 
 def assert_kernel_bits(a, b, sigma):
     """The in-place kernel, alone and as _decision_batch calls it (squared
@@ -441,6 +488,24 @@ class TestInPlaceKernel:
         rng = np.random.default_rng(n)
         a, b = rng.normal(size=(n, 5)), rng.normal(size=(37, 5))
         a[0] = b[3]  # a zero distance, which rounding can make negative
+        assert_kernel_bits(a, b, sigma)
+
+    @pytest.mark.parametrize("sigma", [0.09, 1.7])
+    def test_near_duplicates_across_norm_scales(self, sigma):
+        """The norm sum halved in one rank-2 product keeps every bit: rows with
+        norms from 1e-6 to 1e6, each with near-duplicates whose squared
+        distance rounds to a negative number or to a small positive one."""
+        rng = np.random.default_rng(21)
+        directions = rng.normal(size=(40, 6))
+        b = directions / np.linalg.norm(directions, axis=1)[:, None] * np.logspace(-6, 6, 40)[:, None]
+        a = np.repeat(b, 4, axis=0)
+        a[1::4] = np.nextafter(a[1::4], np.inf)
+        a[2::4] *= 1.0 + rng.normal(scale=1e-12, size=(40, 6))
+        a[3::4] = b[::-1] * (1.0 + 1e-9)
+        raw = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1) - 2.0 * (a @ b.T)
+        assert (raw < 0.0).any() and (raw > 0.0).any()
+        K = scene_oracle.rbf_matrix(a, b, sigma)
+        assert ((K > 0.0) & (K < 1.0)).any() and (K == 1.0).any()
         assert_kernel_bits(a, b, sigma)
 
     def test_scene_rows_bit_identical(self, svm_small):
